@@ -63,18 +63,14 @@ func CorrectViewWorkersCtx(ctx context.Context, o *soundness.Oracle, v *view.Vie
 		return nil, canceledErr(ctx)
 	}
 	vc := &ViewCorrection{Criterion: crit, CompositesBefore: v.N()}
-	cur := v
+	splits := make([]view.Split, 0, len(rep.Unsound))
 	for _, ci := range rep.Unsound {
 		comp := v.Composite(ci)
 		res, err := SplitTaskCtx(ctx, o, comp.Members(), crit, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: splitting composite %q: %w", comp.ID, err)
 		}
-		next, err := cur.ReplaceComposite(comp.ID, res.Blocks)
-		if err != nil {
-			return nil, fmt.Errorf("core: applying split of %q: %w", comp.ID, err)
-		}
-		cur = next
+		splits = append(splits, view.Split{Comp: ci, Blocks: res.Blocks})
 		vc.Tasks = append(vc.Tasks, TaskCorrection{
 			CompositeID: comp.ID,
 			Before:      comp.Size(),
@@ -82,8 +78,12 @@ func CorrectViewWorkersCtx(ctx context.Context, o *soundness.Oracle, v *view.Vie
 			Result:      res,
 		})
 	}
-	vc.Corrected = cur
-	vc.CompositesAfter = cur.N()
+	corrected, err := v.SplitComposites(splits)
+	if err != nil {
+		return nil, fmt.Errorf("core: applying splits: %w", err)
+	}
+	vc.Corrected = corrected
+	vc.CompositesAfter = corrected.N()
 	vc.Elapsed = time.Since(start)
 	return vc, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"wolves/internal/bitset"
 	"wolves/internal/engine"
+	"wolves/internal/jsonscan"
 	"wolves/internal/obs"
 	"wolves/internal/workflow"
 )
@@ -91,7 +92,7 @@ const (
 type ingestScratch struct {
 	w        wireRun
 	line     wireLine
-	jd       jdec
+	jd       jsonscan.Decoder
 	lineBufs wireLineBufs
 	procIdx  map[string]int32
 	fill     []int32
@@ -108,19 +109,23 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // wire resets and returns the scratch's wire run, keeping the slice
-// capacities of previous decodes so the backing arrays are reused. Only
-// the lengths are reset: both decoders write every field of an element
-// they emit past the reset length (the JSON decoder appends explicit
-// zero elements before filling them, the binary decoder appends full
-// composite literals), so nothing stale from a previous document can
-// leak through.
+// capacities of previous decodes so the backing arrays are reused. The
+// retained capacity is zeroed: the JSON decoder, like encoding/json,
+// re-exposes elements between a slice's length and its capacity when a
+// duplicate key grows it again, so nothing from a previous document may
+// sit there.
 func (sc *ingestScratch) wire() *wireRun {
 	sc.w = wireRun{
-		Invocations: sc.w.Invocations[:0],
-		Artifacts:   sc.w.Artifacts[:0],
-		Used:        sc.w.Used[:0],
+		Invocations: resetSlice(sc.w.Invocations),
+		Artifacts:   resetSlice(sc.w.Artifacts),
+		Used:        resetSlice(sc.w.Used),
 	}
 	return &sc.w
+}
+
+func resetSlice[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // decodeRunDocInto parses one full run document — the binary canonical
@@ -129,8 +134,8 @@ func decodeRunDocInto(w *wireRun, doc []byte) error {
 	if len(doc) > 0 && doc[0] == docBinV1 {
 		return decodeRunDocBinaryInto(w, doc)
 	}
-	var d jdec
-	return d.decodeRunDocJSON(w, doc)
+	var d jsonscan.Decoder
+	return decodeRunDocJSON(&d, w, doc)
 }
 
 // decodeDoc is decodeRunDocInto through the pooled decoder scratch —
@@ -140,7 +145,7 @@ func (sc *ingestScratch) decodeDoc(w *wireRun, doc []byte) error {
 	if len(doc) > 0 && doc[0] == docBinV1 {
 		return decodeRunDocBinaryInto(w, doc)
 	}
-	return sc.jd.decodeRunDocJSON(w, doc)
+	return decodeRunDocJSON(&sc.jd, w, doc)
 }
 
 // decodeRunDoc parses one full run document of either encoding.
@@ -232,7 +237,7 @@ func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Rea
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			lineNo++
 			sc.line = wireLine{}
-			if jerr := sc.jd.decodeWireLineJSON(&sc.line, trimmed, &sc.lineBufs); jerr != nil {
+			if jerr := decodeWireLineJSON(&sc.jd, &sc.line, trimmed, &sc.lineBufs); jerr != nil {
 				if torn {
 					return nil, errf(engine.ErrInvalidTrace, "ingest",
 						"NDJSON stream ends with a torn record at line %d: %v", lineNo, jerr)

@@ -1,44 +1,13 @@
-// Hand-rolled JSON decoding for the ingestion wire shapes (PR 9).
-// encoding/json's reflective decoder dominated the ingest profile —
-// ~85% of Store.Ingest was json.Unmarshal of the incoming document —
-// and the wire formats are three tiny fixed structs, so a purpose-built
-// decoder removes the reflection entirely. Behavior is pinned to
-// encoding/json, not merely inspired by it: acceptance, rejection and
-// the decoded structs agree exactly (FuzzJSONDecodeEquivalence
-// differentially fuzzes the two decoders), including the obscure
-// corners — case-folded key matching, duplicate-key merge semantics,
-// null as leave-unchanged (but slice- and pointer-clearing), lone
-// surrogate replacement, invalid-UTF-8 replacement, and the scanner's
-// nesting cap — so swapping decoders is invisible on the wire.
+// JSON decoding for the ingestion wire shapes. encoding/json's
+// reflective decoder dominated the ingest profile — ~85% of
+// Store.Ingest was json.Unmarshal of the incoming document — and the
+// wire formats are three tiny fixed structs, so they decode on the
+// shared reflection-free scanner (internal/jsonscan), which pins
+// acceptance, rejection and the decoded structs to encoding/json
+// (FuzzJSONDecodeEquivalence differentially fuzzes the two).
 package runs
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
-)
-
-// jsonMaxDepth mirrors encoding/json's scanner nesting cap: a document
-// may hold at most this many open containers at once. Inputs nesting
-// deeper are rejected there, so they are rejected here too.
-const jsonMaxDepth = 10000
-
-var errJSONEnd = errors.New("unexpected end of JSON input")
-
-// jdec is the decoder state: input, cursor, open-container depth, and a
-// scratch buffer backing escaped-string decodes (clean strings — no
-// escapes, no control bytes, pure ASCII — are sliced zero-copy). The
-// zero value is ready to use; pooling one (ingestScratch) reuses the
-// scratch buffer across documents.
-type jdec struct {
-	b     []byte
-	i     int
-	depth int
-	buf   []byte
-}
+import "wolves/internal/jsonscan"
 
 // wireLineBufs are the pointee buffers behind a decoded wireLine's
 // pointer fields, so the per-line NDJSON decode allocates nothing. The
@@ -50,175 +19,111 @@ type wireLineBufs struct {
 	used wireUsed
 }
 
-// decodeRunDocJSON parses one JSON run document into w with the
-// decoder's scratch. Matches json.Unmarshal(doc, w) exactly.
-func (d *jdec) decodeRunDocJSON(w *wireRun, doc []byte) error {
-	d.b, d.i, d.depth = doc, 0, 0
-	d.ws()
-	c, err := d.peek()
-	if err != nil {
+// decodeRunDocJSON parses one JSON run document into w with d's
+// scratch. Matches json.Unmarshal(doc, w) exactly.
+func decodeRunDocJSON(d *jsonscan.Decoder, w *wireRun, doc []byte) error {
+	d.Reset(doc)
+	if err := runObject(d, w); err != nil {
 		return err
 	}
-	switch c {
-	case 'n':
-		// Top-level null is a no-op, exactly like json.Unmarshal.
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-	case '{':
-		if err := d.runObject(w); err != nil {
-			return err
-		}
-	default:
-		return d.errInvalid(c, "looking for beginning of value")
-	}
-	return d.end()
+	return d.End()
 }
 
 // decodeWireLineJSON parses one NDJSON record into l. Pointer fields
 // point into bufs when non-nil (the pooled path), or freshly allocated
 // structs otherwise. Matches json.Unmarshal(line, l) exactly.
-func (d *jdec) decodeWireLineJSON(l *wireLine, line []byte, bufs *wireLineBufs) error {
-	d.b, d.i, d.depth = line, 0, 0
-	d.ws()
-	c, err := d.peek()
-	if err != nil {
+func decodeWireLineJSON(d *jsonscan.Decoder, l *wireLine, line []byte, bufs *wireLineBufs) error {
+	d.Reset(line)
+	if err := lineObject(d, l, bufs); err != nil {
 		return err
 	}
-	switch c {
-	case 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-	case '{':
-		if err := d.lineObject(l, bufs); err != nil {
-			return err
-		}
-	default:
-		return d.errInvalid(c, "looking for beginning of value")
-	}
-	return d.end()
+	return d.End()
 }
 
-// runObject decodes the wireRun object body; d.i is at '{'.
-func (d *jdec) runObject(w *wireRun) error {
-	return d.object(func(key []byte) error {
+// runObject decodes the wireRun object.
+func runObject(d *jsonscan.Decoder, w *wireRun) error {
+	invs := func() error {
+		return jsonscan.Array(d, &w.Invocations, func(el *wireInvocation) error { return invocationObject(d, el) })
+	}
+	arts := func() error {
+		return jsonscan.Array(d, &w.Artifacts, func(el *wireArtifact) error { return artifactObject(d, el) })
+	}
+	used := func() error { return jsonscan.Array(d, &w.Used, func(el *wireUsed) error { return usedObject(d, el) }) }
+	return d.Object(func(key []byte) error {
 		switch string(key) { // compiler-optimized, no allocation
 		case "run":
-			return d.stringField(&w.Run)
+			return d.String(&w.Run)
 		case "version":
-			return d.uintField(&w.Version)
+			return d.Uint64(&w.Version)
 		case "invocations":
-			return d.invocationsField(&w.Invocations)
+			return invs()
 		case "artifacts":
-			return d.artifactsField(&w.Artifacts)
+			return arts()
 		case "used":
-			return d.usedField(&w.Used)
+			return used()
 		}
 		// No exact match: case-folded match in struct field order, like
 		// encoding/json's fallback; then skip as an unknown field.
 		switch {
-		case foldedEq(key, "RUN"):
-			return d.stringField(&w.Run)
-		case foldedEq(key, "VERSION"):
-			return d.uintField(&w.Version)
-		case foldedEq(key, "INVOCATIONS"):
-			return d.invocationsField(&w.Invocations)
-		case foldedEq(key, "ARTIFACTS"):
-			return d.artifactsField(&w.Artifacts)
-		case foldedEq(key, "USED"):
-			return d.usedField(&w.Used)
+		case jsonscan.FoldEq(key, "RUN"):
+			return d.String(&w.Run)
+		case jsonscan.FoldEq(key, "VERSION"):
+			return d.Uint64(&w.Version)
+		case jsonscan.FoldEq(key, "INVOCATIONS"):
+			return invs()
+		case jsonscan.FoldEq(key, "ARTIFACTS"):
+			return arts()
+		case jsonscan.FoldEq(key, "USED"):
+			return used()
 		}
-		return d.skipValue()
+		return d.Skip()
 	})
 }
 
-// lineObject decodes the wireLine object body; d.i is at '{'.
-func (d *jdec) lineObject(l *wireLine, bufs *wireLineBufs) error {
-	// Pointer-field decode, shared across the three record kinds: null
-	// clears the pointer; an object decodes into the existing pointee
-	// when the pointer is already set (duplicate-key merge, exactly
-	// encoding/json's indirect() reuse) or into a zeroed buffer/fresh
-	// allocation when nil.
+// pointee decodes a pointer-typed field: null clears the pointer; an
+// object decodes into the existing pointee when the pointer is already
+// set (duplicate-key merge, exactly encoding/json's indirect() reuse)
+// or into a zeroed buffer (pooled path) or fresh allocation when nil.
+func pointee[T any](d *jsonscan.Decoder, p **T, buf *T, object func(*T) error) error {
+	if null, err := d.Null(); null || err != nil {
+		if null {
+			*p = nil
+		}
+		return err
+	}
+	if *p == nil {
+		if buf != nil {
+			var zero T
+			*buf = zero
+			*p = buf
+		} else {
+			*p = new(T)
+		}
+	}
+	return object(*p)
+}
+
+// lineObject decodes the wireLine object.
+func lineObject(d *jsonscan.Decoder, l *wireLine, bufs *wireLineBufs) error {
+	var invBuf *wireInvocation
+	var artBuf *wireArtifact
+	var usedBuf *wireUsed
+	if bufs != nil {
+		invBuf, artBuf, usedBuf = &bufs.inv, &bufs.art, &bufs.used
+	}
 	inv := func() error {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			l.Invocation = nil
-			return nil
-		}
-		if c != '{' {
-			return d.errInvalid(c, "decoding an invocation object")
-		}
-		if l.Invocation == nil {
-			if bufs != nil {
-				bufs.inv = wireInvocation{}
-				l.Invocation = &bufs.inv
-			} else {
-				l.Invocation = new(wireInvocation)
-			}
-		}
-		return d.invocationObject(l.Invocation)
+		return pointee(d, &l.Invocation, invBuf, func(el *wireInvocation) error { return invocationObject(d, el) })
 	}
 	art := func() error {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			l.Artifact = nil
-			return nil
-		}
-		if c != '{' {
-			return d.errInvalid(c, "decoding an artifact object")
-		}
-		if l.Artifact == nil {
-			if bufs != nil {
-				bufs.art = wireArtifact{}
-				l.Artifact = &bufs.art
-			} else {
-				l.Artifact = new(wireArtifact)
-			}
-		}
-		return d.artifactObject(l.Artifact)
+		return pointee(d, &l.Artifact, artBuf, func(el *wireArtifact) error { return artifactObject(d, el) })
 	}
 	used := func() error {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			l.Used = nil
-			return nil
-		}
-		if c != '{' {
-			return d.errInvalid(c, "decoding a used object")
-		}
-		if l.Used == nil {
-			if bufs != nil {
-				bufs.used = wireUsed{}
-				l.Used = &bufs.used
-			} else {
-				l.Used = new(wireUsed)
-			}
-		}
-		return d.usedObject(l.Used)
+		return pointee(d, &l.Used, usedBuf, func(el *wireUsed) error { return usedObject(d, el) })
 	}
-	return d.object(func(key []byte) error {
+	return d.Object(func(key []byte) error {
 		switch string(key) {
 		case "run":
-			return d.stringField(&l.Run)
+			return d.String(&l.Run)
 		case "invocation":
 			return inv()
 		case "artifact":
@@ -227,761 +132,76 @@ func (d *jdec) lineObject(l *wireLine, bufs *wireLineBufs) error {
 			return used()
 		}
 		switch {
-		case foldedEq(key, "RUN"):
-			return d.stringField(&l.Run)
-		case foldedEq(key, "INVOCATION"):
+		case jsonscan.FoldEq(key, "RUN"):
+			return d.String(&l.Run)
+		case jsonscan.FoldEq(key, "INVOCATION"):
 			return inv()
-		case foldedEq(key, "ARTIFACT"):
+		case jsonscan.FoldEq(key, "ARTIFACT"):
 			return art()
-		case foldedEq(key, "USED"):
+		case jsonscan.FoldEq(key, "USED"):
 			return used()
 		}
-		return d.skipValue()
+		return d.Skip()
 	})
 }
 
-// invocationObject decodes one invocation object into el; d.i is at '{'.
-// el is not zeroed: reused slice elements and merged pointees keep
-// fields the JSON omits, matching encoding/json.
-func (d *jdec) invocationObject(el *wireInvocation) error {
-	return d.object(func(key []byte) error {
+// invocationObject decodes one invocation object into el. el is not
+// zeroed: reused slice elements and merged pointees keep fields the
+// JSON omits, matching encoding/json.
+func invocationObject(d *jsonscan.Decoder, el *wireInvocation) error {
+	return d.Object(func(key []byte) error {
 		switch string(key) {
 		case "id":
-			return d.stringField(&el.ID)
+			return d.String(&el.ID)
 		case "task":
-			return d.stringField(&el.Task)
+			return d.String(&el.Task)
 		}
 		switch {
-		case foldedEq(key, "ID"):
-			return d.stringField(&el.ID)
-		case foldedEq(key, "TASK"):
-			return d.stringField(&el.Task)
+		case jsonscan.FoldEq(key, "ID"):
+			return d.String(&el.ID)
+		case jsonscan.FoldEq(key, "TASK"):
+			return d.String(&el.Task)
 		}
-		return d.skipValue()
+		return d.Skip()
 	})
 }
 
-// artifactObject decodes one artifact object into el; d.i is at '{'.
-func (d *jdec) artifactObject(el *wireArtifact) error {
-	return d.object(func(key []byte) error {
+// artifactObject decodes one artifact object into el; as
+// invocationObject.
+func artifactObject(d *jsonscan.Decoder, el *wireArtifact) error {
+	return d.Object(func(key []byte) error {
 		switch string(key) {
 		case "id":
-			return d.stringField(&el.ID)
+			return d.String(&el.ID)
 		case "generated_by":
-			return d.stringField(&el.GeneratedBy)
+			return d.String(&el.GeneratedBy)
 		}
 		switch {
-		case foldedEq(key, "ID"):
-			return d.stringField(&el.ID)
-		case foldedEq(key, "GENERATED_BY"):
-			return d.stringField(&el.GeneratedBy)
+		case jsonscan.FoldEq(key, "ID"):
+			return d.String(&el.ID)
+		case jsonscan.FoldEq(key, "GENERATED_BY"):
+			return d.String(&el.GeneratedBy)
 		}
-		return d.skipValue()
+		return d.Skip()
 	})
 }
 
-// usedObject decodes one used-edge object into el; d.i is at '{'.
-func (d *jdec) usedObject(el *wireUsed) error {
-	return d.object(func(key []byte) error {
+// usedObject decodes one used-edge object into el; as
+// invocationObject.
+func usedObject(d *jsonscan.Decoder, el *wireUsed) error {
+	return d.Object(func(key []byte) error {
 		switch string(key) {
 		case "process":
-			return d.stringField(&el.Process)
+			return d.String(&el.Process)
 		case "artifact":
-			return d.stringField(&el.Artifact)
+			return d.String(&el.Artifact)
 		}
 		switch {
-		case foldedEq(key, "PROCESS"):
-			return d.stringField(&el.Process)
-		case foldedEq(key, "ARTIFACT"):
-			return d.stringField(&el.Artifact)
+		case jsonscan.FoldEq(key, "PROCESS"):
+			return d.String(&el.Process)
+		case jsonscan.FoldEq(key, "ARTIFACT"):
+			return d.String(&el.Artifact)
 		}
-		return d.skipValue()
+		return d.Skip()
 	})
-}
-
-// object drives one {...} body: depth accounting, key framing, comma
-// discipline. field is called with the cursor on the value of each key
-// and must consume exactly that value.
-func (d *jdec) object(field func(key []byte) error) error {
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.i++ // '{'
-	d.ws()
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		d.i++
-		d.depth--
-		return nil
-	}
-	for {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c != '"' {
-			return d.errInvalid(c, "looking for beginning of object key string")
-		}
-		key, err := d.readString()
-		if err != nil {
-			return err
-		}
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		if c != ':' {
-			return d.errInvalid(c, "after object key")
-		}
-		d.i++
-		d.ws()
-		if err := field(key); err != nil {
-			return err
-		}
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.i++
-			d.ws()
-		case '}':
-			d.i++
-			d.depth--
-			return nil
-		default:
-			return d.errInvalid(c, "after object key:value pair")
-		}
-	}
-}
-
-// stringField decodes a string value into *s; null leaves *s unchanged.
-func (d *jdec) stringField(s *string) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 'n':
-		return d.literal("null")
-	case '"':
-		v, err := d.readString()
-		if err != nil {
-			return err
-		}
-		*s = string(v)
-		return nil
-	}
-	return d.errInvalid(c, "decoding a string field")
-}
-
-// uintField decodes a JSON number into *v; null leaves *v unchanged.
-// Negative, fractional, exponential and overflowing numbers are
-// rejected, exactly the literals strconv.ParseUint rejects for
-// encoding/json's uint64 path.
-func (d *jdec) uintField(v *uint64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.literal("null")
-	}
-	if c != '-' && (c < '0' || c > '9') {
-		return d.errInvalid(c, "decoding an unsigned integer field")
-	}
-	lit, err := d.scanNumber()
-	if err != nil {
-		return err
-	}
-	var n uint64
-	for _, c := range lit {
-		if c < '0' || c > '9' {
-			return fmt.Errorf("cannot unmarshal number %s into uint64 field", lit)
-		}
-		dgt := uint64(c - '0')
-		if n > (math.MaxUint64-dgt)/10 {
-			return fmt.Errorf("cannot unmarshal number %s into uint64 field: overflow", lit)
-		}
-		n = n*10 + dgt
-	}
-	*v = n
-	return nil
-}
-
-// invocationsField decodes the invocations array. Null sets the slice
-// nil; a duplicate key re-decodes into the existing elements in place
-// (omitted fields keep their prior values) — both encoding/json's
-// semantics. Elements appended past the existing length start zeroed,
-// which is also what makes pooled-scratch reuse safe without clearing.
-func (d *jdec) invocationsField(sp *[]wireInvocation) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*sp = nil
-		return nil
-	}
-	if c != '[' {
-		return d.errInvalid(c, "decoding the invocations array")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.i++
-	d.ws()
-	old, n := *sp, 0
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == ']' {
-		d.i++
-		d.depth--
-		if old == nil {
-			*sp = []wireInvocation{}
-		} else {
-			*sp = old[:0]
-		}
-		return nil
-	}
-	for {
-		if n == len(old) {
-			old = append(old, wireInvocation{})
-		}
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case 'n':
-			// Null element: the element keeps its value (zero when fresh,
-			// prior value when a duplicate key reuses it).
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		case '{':
-			if err := d.invocationObject(&old[n]); err != nil {
-				return err
-			}
-		default:
-			return d.errInvalid(c, "decoding an invocation object")
-		}
-		n++
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.i++
-			d.ws()
-		case ']':
-			d.i++
-			d.depth--
-			*sp = old[:n]
-			return nil
-		default:
-			return d.errInvalid(c, "after array element")
-		}
-	}
-}
-
-// artifactsField decodes the artifacts array; semantics as
-// invocationsField.
-func (d *jdec) artifactsField(sp *[]wireArtifact) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*sp = nil
-		return nil
-	}
-	if c != '[' {
-		return d.errInvalid(c, "decoding the artifacts array")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.i++
-	d.ws()
-	old, n := *sp, 0
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == ']' {
-		d.i++
-		d.depth--
-		if old == nil {
-			*sp = []wireArtifact{}
-		} else {
-			*sp = old[:0]
-		}
-		return nil
-	}
-	for {
-		if n == len(old) {
-			old = append(old, wireArtifact{})
-		}
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		case '{':
-			if err := d.artifactObject(&old[n]); err != nil {
-				return err
-			}
-		default:
-			return d.errInvalid(c, "decoding an artifact object")
-		}
-		n++
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.i++
-			d.ws()
-		case ']':
-			d.i++
-			d.depth--
-			*sp = old[:n]
-			return nil
-		default:
-			return d.errInvalid(c, "after array element")
-		}
-	}
-}
-
-// usedField decodes the used array; semantics as invocationsField.
-func (d *jdec) usedField(sp *[]wireUsed) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*sp = nil
-		return nil
-	}
-	if c != '[' {
-		return d.errInvalid(c, "decoding the used array")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.i++
-	d.ws()
-	old, n := *sp, 0
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == ']' {
-		d.i++
-		d.depth--
-		if old == nil {
-			*sp = []wireUsed{}
-		} else {
-			*sp = old[:0]
-		}
-		return nil
-	}
-	for {
-		if n == len(old) {
-			old = append(old, wireUsed{})
-		}
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		case '{':
-			if err := d.usedObject(&old[n]); err != nil {
-				return err
-			}
-		default:
-			return d.errInvalid(c, "decoding a used object")
-		}
-		n++
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.i++
-			d.ws()
-		case ']':
-			d.i++
-			d.depth--
-			*sp = old[:n]
-			return nil
-		default:
-			return d.errInvalid(c, "after array element")
-		}
-	}
-}
-
-// skipValue consumes one well-formed JSON value of any shape (unknown
-// fields). The whole value is validated — encoding/json's scanner
-// checks unknown fields too, so a malformed unknown value must reject
-// the document here as well.
-func (d *jdec) skipValue() error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch {
-	case c == '"':
-		_, err := d.readString()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || ('0' <= c && c <= '9'):
-		_, err := d.scanNumber()
-		return err
-	case c == '{':
-		return d.object(func([]byte) error { return d.skipValue() })
-	case c == '[':
-		if err := d.push(); err != nil {
-			return err
-		}
-		d.i++
-		d.ws()
-		if c, err := d.peek(); err != nil {
-			return err
-		} else if c == ']' {
-			d.i++
-			d.depth--
-			return nil
-		}
-		for {
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			d.ws()
-			c, err := d.peek()
-			if err != nil {
-				return err
-			}
-			switch c {
-			case ',':
-				d.i++
-				d.ws()
-			case ']':
-				d.i++
-				d.depth--
-				return nil
-			default:
-				return d.errInvalid(c, "after array element")
-			}
-		}
-	}
-	return d.errInvalid(c, "looking for beginning of value")
-}
-
-// readString decodes the string at d.i (which must be '"'), returning
-// its bytes. Clean ASCII is sliced zero-copy out of the input; escapes,
-// control-byte errors, and non-ASCII (which may need invalid-UTF-8
-// replacement) take the scratch-buffer slow path. The returned slice is
-// valid only until the next readString.
-func (d *jdec) readString() ([]byte, error) {
-	d.i++
-	start := d.i
-	for d.i < len(d.b) {
-		c := d.b[d.i]
-		if c == '"' {
-			s := d.b[start:d.i]
-			d.i++
-			return s, nil
-		}
-		if c == '\\' || c >= utf8.RuneSelf {
-			return d.readStringSlow(start)
-		}
-		if c < 0x20 {
-			return nil, d.errInvalid(c, "in string literal")
-		}
-		d.i++
-	}
-	return nil, errJSONEnd
-}
-
-// readStringSlow finishes a string decode that needs byte processing,
-// mirroring encoding/json's unquote: escape table, \u with UTF-16
-// surrogate pairing (lone surrogates become U+FFFD without error), and
-// invalid raw UTF-8 replaced with U+FFFD.
-func (d *jdec) readStringSlow(start int) ([]byte, error) {
-	buf := append(d.buf[:0], d.b[start:d.i]...)
-	for d.i < len(d.b) {
-		c := d.b[d.i]
-		switch {
-		case c == '"':
-			d.i++
-			d.buf = buf
-			return buf, nil
-		case c == '\\':
-			d.i++
-			if d.i >= len(d.b) {
-				return nil, errJSONEnd
-			}
-			e := d.b[d.i]
-			d.i++
-			switch e {
-			case '"', '\\', '/':
-				buf = append(buf, e)
-			case 'b':
-				buf = append(buf, '\b')
-			case 'f':
-				buf = append(buf, '\f')
-			case 'n':
-				buf = append(buf, '\n')
-			case 'r':
-				buf = append(buf, '\r')
-			case 't':
-				buf = append(buf, '\t')
-			case 'u':
-				rr, ok := d.hex4()
-				if !ok {
-					return nil, fmt.Errorf("invalid \\u escape in string literal")
-				}
-				if utf16.IsSurrogate(rr) {
-					// Try to pair with a following \uXXXX; an unpairable
-					// surrogate decodes to U+FFFD and the following escape
-					// (if any) is processed on its own — encoding/json's
-					// exact behavior.
-					if d.i+1 < len(d.b) && d.b[d.i] == '\\' && d.b[d.i+1] == 'u' {
-						save := d.i
-						d.i += 2
-						if rr1, ok1 := d.hex4(); ok1 {
-							if dec := utf16.DecodeRune(rr, rr1); dec != unicode.ReplacementChar {
-								buf = utf8.AppendRune(buf, dec)
-								continue
-							}
-						}
-						d.i = save
-					}
-					rr = unicode.ReplacementChar
-				}
-				buf = utf8.AppendRune(buf, rr)
-			default:
-				return nil, fmt.Errorf("invalid escape code '\\%c' in string literal", e)
-			}
-		case c < 0x20:
-			return nil, d.errInvalid(c, "in string literal")
-		case c < utf8.RuneSelf:
-			buf = append(buf, c)
-			d.i++
-		default:
-			r, size := utf8.DecodeRune(d.b[d.i:])
-			buf = utf8.AppendRune(buf, r)
-			d.i += size
-		}
-	}
-	return nil, errJSONEnd
-}
-
-// hex4 parses exactly four hex digits at d.i, advancing past them.
-func (d *jdec) hex4() (rune, bool) {
-	if d.i+4 > len(d.b) {
-		return 0, false
-	}
-	var r rune
-	for _, c := range d.b[d.i : d.i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			r = r<<4 | rune(c-'0')
-		case 'a' <= c && c <= 'f':
-			r = r<<4 | rune(c-'a'+10)
-		case 'A' <= c && c <= 'F':
-			r = r<<4 | rune(c-'A'+10)
-		default:
-			return 0, false
-		}
-	}
-	d.i += 4
-	return r, true
-}
-
-// scanNumber consumes one number per the JSON grammar and returns its
-// literal bytes. The follower byte is the caller's problem: an illegal
-// one fails the comma/close check that comes next, as in encoding/json.
-func (d *jdec) scanNumber() ([]byte, error) {
-	start := d.i
-	if d.b[d.i] == '-' {
-		d.i++
-	}
-	c, err := d.peek()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case c == '0':
-		d.i++
-	case '1' <= c && c <= '9':
-		for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
-			d.i++
-		}
-	default:
-		return nil, d.errInvalid(c, "in numeric literal")
-	}
-	if d.i < len(d.b) && d.b[d.i] == '.' {
-		d.i++
-		if err := d.digits(); err != nil {
-			return nil, err
-		}
-	}
-	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
-			d.i++
-		}
-		if err := d.digits(); err != nil {
-			return nil, err
-		}
-	}
-	return d.b[start:d.i], nil
-}
-
-// digits consumes one or more decimal digits.
-func (d *jdec) digits() error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c < '0' || c > '9' {
-		return d.errInvalid(c, "in numeric literal")
-	}
-	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return nil
-}
-
-// literal consumes an exact keyword (true/false/null). The character
-// after it is validated by whatever parse step follows, matching the
-// scanner's state machine.
-func (d *jdec) literal(lit string) error {
-	if len(d.b)-d.i < len(lit) {
-		return errJSONEnd
-	}
-	if string(d.b[d.i:d.i+len(lit)]) != lit {
-		return fmt.Errorf("invalid literal, expected %q", lit)
-	}
-	d.i += len(lit)
-	return nil
-}
-
-// end verifies nothing but whitespace follows the top-level value.
-func (d *jdec) end() error {
-	d.ws()
-	if d.i < len(d.b) {
-		return d.errInvalid(d.b[d.i], "after top-level value")
-	}
-	return nil
-}
-
-func (d *jdec) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-func (d *jdec) peek() (byte, error) {
-	if d.i >= len(d.b) {
-		return 0, errJSONEnd
-	}
-	return d.b[d.i], nil
-}
-
-// push opens one container level, enforcing the nesting cap.
-func (d *jdec) push() error {
-	d.depth++
-	if d.depth > jsonMaxDepth {
-		return errors.New("exceeded max depth")
-	}
-	return nil
-}
-
-func (d *jdec) errInvalid(c byte, ctx string) error {
-	return fmt.Errorf("invalid character %q %s", c, ctx)
-}
-
-// foldedEq reports whether key case-folds to target, where target is a
-// pre-folded field name (ASCII; our tags fold to their upper-case
-// forms). The fold is encoding/json's: each rune mapped to the minimum
-// of its unicode.SimpleFold orbit — so exotic equivalences like the
-// Kelvin sign folding to 'K' match exactly as they do there.
-func foldedEq(key []byte, target string) bool {
-	j := 0
-	for i := 0; i < len(key); {
-		if j >= len(target) {
-			return false
-		}
-		c := key[i]
-		if c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			if c != target[j] {
-				return false
-			}
-			i++
-			j++
-			continue
-		}
-		r, n := utf8.DecodeRune(key[i:])
-		r = foldRune(r)
-		if r >= utf8.RuneSelf || byte(r) != target[j] {
-			return false
-		}
-		i += n
-		j++
-	}
-	return j == len(target)
-}
-
-// foldRune maps r to the minimum rune of its SimpleFold orbit —
-// encoding/json's canonical fold.
-func foldRune(r rune) rune {
-	for {
-		r2 := unicode.SimpleFold(r)
-		if r2 <= r {
-			return r2
-		}
-		r = r2
-	}
 }

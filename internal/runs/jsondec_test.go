@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"wolves/internal/jsonscan"
+	"wolves/internal/jsonscan/jsonscantest"
 )
 
 // decodeEquiv decodes data with both decoders (encoding/json and the
@@ -15,88 +18,28 @@ func decodeEquiv(t *testing.T, data []byte) {
 
 	var want, got wireRun
 	werr := json.Unmarshal(data, &want)
-	var d jdec
-	gerr := d.decodeRunDocJSON(&got, data)
+	var d jsonscan.Decoder
+	gerr := decodeRunDocJSON(&d, &got, data)
 	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("wireRun acceptance diverges on %q:\n  encoding/json: %v\n  jdec:          %v", data, werr, gerr)
+		t.Fatalf("wireRun acceptance diverges on %q:\n  encoding/json: %v\n  scan:          %v", data, werr, gerr)
 	}
 	if werr == nil && !reflect.DeepEqual(want, got) {
-		t.Fatalf("wireRun value diverges on %q:\n  encoding/json: %+v\n  jdec:          %+v", data, want, got)
+		t.Fatalf("wireRun value diverges on %q:\n  encoding/json: %+v\n  scan:          %+v", data, want, got)
 	}
 
 	var wantL, gotL wireLine
 	wlerr := json.Unmarshal(data, &wantL)
-	glerr := d.decodeWireLineJSON(&gotL, data, nil)
+	glerr := decodeWireLineJSON(&d, &gotL, data, nil)
 	if (wlerr == nil) != (glerr == nil) {
-		t.Fatalf("wireLine acceptance diverges on %q:\n  encoding/json: %v\n  jdec:          %v", data, wlerr, glerr)
+		t.Fatalf("wireLine acceptance diverges on %q:\n  encoding/json: %v\n  scan:          %v", data, wlerr, glerr)
 	}
 	if wlerr == nil && !reflect.DeepEqual(wantL, gotL) {
-		t.Fatalf("wireLine value diverges on %q:\n  encoding/json: %+v\n  jdec:          %+v", data, wantL, gotL)
+		t.Fatalf("wireLine value diverges on %q:\n  encoding/json: %+v\n  scan:          %+v", data, wantL, gotL)
 	}
-}
-
-// jsonDecSeeds are the corner cases the hand decoder must hit exactly:
-// escapes, surrogates, invalid UTF-8, case-folded keys, duplicate keys,
-// nulls at every position, numbers at the uint64 boundary, unknown
-// fields of every shape, and whitespace.
-var jsonDecSeeds = []string{
-	`null`,
-	`{}`,
-	` { } `,
-	`{"run":"r1","version":7,"invocations":[{"id":"i1","task":"align"}],"artifacts":[{"id":"a1","generated_by":"i1"}],"used":[{"process":"i1","artifact":"a1"}]}`,
-	`{"run":"a\u0062c\n\t\"\\\/"}`,
-	`{"run":"\ud834\udd1e"}`,
-	`{"run":"\ud834"}`,
-	`{"run":"\ud834\ud834"}`,
-	`{"run":"\udd1e tail"}`,
-	"{\"run\":\"\xff\xfe\"}",
-	"{\"r\xc3\xbcn\":\"x\"}",
-	`{"RUN":"x","Version":3}`,
-	`{"ru\u006e":"exact-after-unquote"}`,
-	`{"tas\u212a":"kelvin"}`,
-	`{"run":"a","run":"b"}`,
-	`{"run":"a","run":null}`,
-	`{"artifacts":[{"id":"a","generated_by":"g"}],"artifacts":[{"id":"b"}]}`,
-	`{"artifacts":[{"id":"a"}],"artifacts":null}`,
-	`{"artifacts":[],"invocations":[]}`,
-	`{"invocations":[null,{"id":"i"},null]}`,
-	`{"version":0}`,
-	`{"version":18446744073709551615}`,
-	`{"version":18446744073709551616}`,
-	`{"version":-1}`,
-	`{"version":1.5}`,
-	`{"version":1e3}`,
-	`{"version":null}`,
-	`{"version":"7"}`,
-	`{"unknown":{"a":[1,2.5,-3e-7,true,false,null,"s",{"k":[]}]}}`,
-	`{"used":[{"process":"p","artifact":"a","extra":[[[{"x":1}]]]}]}`,
-	`{"run":123}`,
-	`{"run":"a"} `,
-	`{"run":"a"}x`,
-	`{"run":"a",}`,
-	`{"run" "a"}`,
-	`{"run":}`,
-	`{run:"a"}`,
-	`{"run":"a"`,
-	`"top-level string"`,
-	`[{"run":"a"}]`,
-	`true`,
-	`12`,
-	`nul`,
-	`{"invocation":{"id":"i1","task":"t"},"artifact":{"id":"a"},"used":{"process":"p","artifact":"a"}}`,
-	`{"invocation":{"id":"a"},"invocation":{"task":"t"}}`,
-	`{"invocation":{"id":"a"},"invocation":null}`,
-	`{"invocation":null}`,
-	`{"invocation":[]}`,
-	`{"run":"\u0041\u00e9"}`,
-	"{\"run\":\"caf\xc3\xa9\"}",
-	`{"version": 0010}`,
-	`{"version": 10 }`,
-	"\ufeff{}",
 }
 
 func TestJSONDecodeEquivalence(t *testing.T) {
-	for _, s := range jsonDecSeeds {
+	for _, s := range jsonscantest.Seeds {
 		decodeEquiv(t, []byte(s))
 	}
 	// The scanner's nesting cap: 9999 open containers inside the object
@@ -104,8 +47,8 @@ func TestJSONDecodeEquivalence(t *testing.T) {
 	deep := func(n int) []byte {
 		return []byte(`{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`)
 	}
-	decodeEquiv(t, deep(jsonMaxDepth-1))
-	decodeEquiv(t, deep(jsonMaxDepth+1))
+	decodeEquiv(t, deep(jsonscan.MaxDepth-1))
+	decodeEquiv(t, deep(jsonscan.MaxDepth+1))
 }
 
 // TestJSONDecodePooledReuse pins the scratch-reuse contract: a document
@@ -144,10 +87,10 @@ func TestJSONDecodePooledReuse(t *testing.T) {
 // fields alias the scratch buffers, values match encoding/json, and a
 // second decode does not disturb values copied out of the first.
 func TestJSONDecodeLineBufs(t *testing.T) {
-	var d jdec
+	var d jsonscan.Decoder
 	var bufs wireLineBufs
 	var l wireLine
-	if err := d.decodeWireLineJSON(&l, []byte(`{"invocation":{"id":"i1","task":"t1"}}`), &bufs); err != nil {
+	if err := decodeWireLineJSON(&d, &l, []byte(`{"invocation":{"id":"i1","task":"t1"}}`), &bufs); err != nil {
 		t.Fatalf("decode line: %v", err)
 	}
 	if l.Invocation != &bufs.inv {
@@ -155,7 +98,7 @@ func TestJSONDecodeLineBufs(t *testing.T) {
 	}
 	first := *l.Invocation
 	l = wireLine{}
-	if err := d.decodeWireLineJSON(&l, []byte(`{"invocation":{"id":"i2","task":"t2"}}`), &bufs); err != nil {
+	if err := decodeWireLineJSON(&d, &l, []byte(`{"invocation":{"id":"i2","task":"t2"}}`), &bufs); err != nil {
 		t.Fatalf("decode second line: %v", err)
 	}
 	if first.ID != "i1" || first.Task != "t1" {
@@ -170,7 +113,7 @@ func TestJSONDecodeLineBufs(t *testing.T) {
 // decoder against encoding/json over both wire shapes: any input where
 // acceptance or the decoded struct diverges is a bug in jsondec.go.
 func FuzzJSONDecodeEquivalence(f *testing.F) {
-	for _, s := range jsonDecSeeds {
+	for _, s := range jsonscantest.Seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -10,6 +8,7 @@ import (
 
 	"wolves/internal/core"
 	"wolves/internal/engine"
+	"wolves/internal/jsonscan"
 	"wolves/internal/soundness"
 	"wolves/internal/view"
 	"wolves/internal/workflow"
@@ -105,39 +104,20 @@ type LineageRequest struct {
 
 // --- handlers -----------------------------------------------------------------
 
-// attachDecoded attaches a raw view document to lw, resolving the view
-// ID (explicit, else the document's name). The returned version is the
-// one the report was validated under.
-func attachDecoded(ctx context.Context, lw *engine.LiveWorkflow, vid string, raw json.RawMessage) (*soundness.Report, uint64, error) {
-	if len(raw) == 0 {
-		return nil, 0, &engine.Error{Code: engine.ErrBadInput, Op: "attach", Message: "missing view"}
-	}
-	if vid == "" {
-		var peek struct {
-			Name string `json:"name"`
-		}
-		if err := json.Unmarshal(raw, &peek); err != nil {
-			return nil, 0, &engine.Error{Code: engine.ErrBadInput, Op: "attach", Message: err.Error(), Err: err}
-		}
-		vid = peek.Name
-	}
-	return lw.AttachViewCtx(ctx, vid, func(wf *workflow.Workflow) (*view.View, error) {
-		return view.DecodeJSON(wf, bytes.NewReader(raw))
-	})
-}
-
 func (s *Server) handleWorkflowPut(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req RegisterRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var req registration
+	if err := decodeEnvelope(r, req.decode); err != nil {
 		writeError(w, err)
 		return
 	}
-	if len(req.Workflow) == 0 {
+	if len(req.workflow) == 0 {
 		writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: "missing workflow"})
 		return
 	}
-	wf, err := workflow.DecodeJSON(bytes.NewReader(req.Workflow))
+	var d jsonscan.Decoder
+	d.Reset(req.workflow)
+	wf, err := workflow.Decode(&d)
 	if err != nil {
 		writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: err.Error(), Err: err})
 		return
@@ -152,18 +132,18 @@ func (s *Server) handleWorkflowPut(w http.ResponseWriter, r *http.Request) {
 		v   *view.View
 	}
 	var attach []pending
-	for i := range req.Views {
-		rv := req.Views[i]
-		if len(rv.View) == 0 {
+	for _, rv := range req.views {
+		if len(rv.view) == 0 {
 			writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: "views[] entry missing view"})
 			return
 		}
-		v, err := view.DecodeJSON(wf, bytes.NewReader(rv.View))
+		d.Reset(rv.view)
+		v, err := view.Decode(&d, wf)
 		if err != nil {
 			writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: err.Error(), Err: err})
 			return
 		}
-		vid := rv.ID
+		vid := rv.id
 		if vid == "" {
 			vid = v.Name()
 		}
@@ -270,7 +250,13 @@ func (s *Server) handleViewPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "attach", Message: err.Error(), Err: err})
 		return
 	}
-	rep, version, err := attachDecoded(r.Context(), lw, r.PathValue("vid"), raw)
+	rep, version, err := lw.AttachViewCtx(r.Context(), r.PathValue("vid"), func(wf *workflow.Workflow) (v *view.View, err error) {
+		err = scanBody(raw, func(d *jsonscan.Decoder) (err error) {
+			v, err = view.Decode(d, wf)
+			return err
+		})
+		return v, err
+	})
 	if err != nil {
 		writeError(w, err)
 		return

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wolves/internal/engine"
+	"wolves/internal/jsonscan"
 	"wolves/internal/runs"
 )
 
@@ -161,15 +162,19 @@ func (s *Server) handleRunIngest(w http.ResponseWriter, r *http.Request) {
 		// A JSON array is a batch of run documents: validated
 		// all-or-nothing and journaled as one group-commit burst.
 		if body := bytes.TrimLeft(raw, " \t\r\n"); len(body) > 0 && body[0] == '[' {
-			var docs []json.RawMessage
-			if jerr := json.Unmarshal(body, &docs); jerr != nil {
+			// Split the array into element spans; each document is
+			// decoded once, by the run store.
+			var batch [][]byte
+			var d jsonscan.Decoder
+			d.Reset(body)
+			jerr := jsonscan.Array(&d, &batch, d.Raw)
+			if jerr == nil {
+				jerr = d.End()
+			}
+			if jerr != nil {
 				writeError(w, &engine.Error{Code: engine.ErrInvalidTrace, Op: "ingest",
 					Message: "malformed run document batch: " + jerr.Error(), Err: jerr})
 				return
-			}
-			batch := make([][]byte, len(docs))
-			for i, d := range docs {
-				batch[i] = d
 			}
 			infos, berr := s.runs.IngestBatchCtx(r.Context(), id, batch)
 			if berr != nil {

@@ -398,10 +398,18 @@ func TestIngestBatchHTTP(t *testing.T) {
 		t.Fatalf("batch response = %s", body)
 	}
 
-	// All-or-nothing: a batch with one bad document ingests none.
-	bad := "[" + figure1HTTPRun("b4") + `,{"run":"b5"}]`
-	if status, resp := do(t, ts, http.MethodPost, "/v1/workflows/phylo/runs", bad, "application/json"); status != http.StatusUnprocessableEntity {
-		t.Fatalf("bad batch: %d %s", status, resp)
+	// All-or-nothing: a batch with one bad document, or a malformed
+	// array, ingests none.
+	for _, bad := range []string{
+		"[" + figure1HTTPRun("b4") + `,{"run":"b5"}]`,
+		"[" + figure1HTTPRun("b4") + `,]`,
+		"[" + figure1HTTPRun("b4") + `] x`,
+		"[" + figure1HTTPRun("b4") + `,{"run":"b5"`,
+	} {
+		status, resp := do(t, ts, http.MethodPost, "/v1/workflows/phylo/runs", bad, "application/json")
+		if status != http.StatusUnprocessableEntity || !strings.Contains(resp, `"code":"invalid_trace"`) {
+			t.Fatalf("bad batch ending %q: %d %s", bad[len(bad)-12:], status, resp)
+		}
 	}
 	if status, resp := do(t, ts, http.MethodGet, "/v1/workflows/phylo/runs", "", ""); status != http.StatusOK ||
 		!strings.Contains(resp, `"count":3`) {

@@ -43,7 +43,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,11 +54,10 @@ import (
 
 	"wolves/internal/core"
 	"wolves/internal/engine"
+	"wolves/internal/jsonscan"
 	"wolves/internal/obs"
 	"wolves/internal/runs"
 	"wolves/internal/soundness"
-	"wolves/internal/view"
-	"wolves/internal/workflow"
 )
 
 // MaxBodyBytes caps request bodies; a million-user service does not read
@@ -361,44 +359,14 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorResponse{Error: ee})
 }
 
-// decodeBody reads a JSON body. The size cap is applied once, by the
-// Handler middleware; an oversized body surfaces here as a decode error
-// (net/http's MaxBytesReader has already replied 413 on the wire).
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		return &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: err.Error(), Err: err}
-	}
-	return nil
-}
-
-// decodePair turns raw workflow/view JSON into validated model objects.
-func decodePair(wfRaw, vRaw json.RawMessage) (*workflow.Workflow, *view.View, error) {
-	if len(wfRaw) == 0 {
-		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: "missing workflow"}
-	}
-	if len(vRaw) == 0 {
-		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: "missing view"}
-	}
-	wf, err := workflow.DecodeJSON(bytes.NewReader(wfRaw))
-	if err != nil {
-		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: err.Error(), Err: err}
-	}
-	v, err := view.DecodeJSON(wf, bytes.NewReader(vRaw))
-	if err != nil {
-		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: err.Error(), Err: err}
-	}
-	return wf, v, nil
-}
-
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req ValidateRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var req job
+	if err := decodeEnvelope(r, func(d *jsonscan.Decoder) error { return req.decode(d, validateFields) }); err != nil {
 		writeError(w, err)
 		return
 	}
-	wf, v, err := decodePair(req.Workflow, req.View)
+	wf, v, err := decodePair(req.workflow, req.view)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -412,7 +380,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 }
 
 // correctResponse runs one correction and shapes the wire response.
-func (s *Server) correctResponse(r *http.Request, wfRaw, vRaw json.RawMessage, criterion string) (*CorrectResponse, error) {
+func (s *Server) correctResponse(r *http.Request, wfRaw, vRaw []byte, criterion string) (*CorrectResponse, error) {
 	wf, v, err := decodePair(wfRaw, vRaw)
 	if err != nil {
 		return nil, err
@@ -433,12 +401,12 @@ func (s *Server) correctResponse(r *http.Request, wfRaw, vRaw json.RawMessage, c
 
 func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req CorrectRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var req job
+	if err := decodeEnvelope(r, func(d *jsonscan.Decoder) error { return req.decode(d, correctFields) }); err != nil {
 		writeError(w, err)
 		return
 	}
-	resp, err := s.correctResponse(r, req.Workflow, req.View, req.Criterion)
+	resp, err := s.correctResponse(r, req.workflow, req.view, req.criterion)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -448,16 +416,16 @@ func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var jobs []job
+	if err := decodeEnvelope(r, func(d *jsonscan.Decoder) error { return decodeJobs(d, &jobs) }); err != nil {
 		writeError(w, err)
 		return
 	}
-	if len(req.Jobs) == 0 {
+	if len(jobs) == 0 {
 		writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "batch", Message: "no jobs"})
 		return
 	}
-	results := make([]BatchResult, len(req.Jobs))
+	results := make([]BatchResult, len(jobs))
 
 	// Decode and partition by op; the engine batch entry points fan the
 	// decoded jobs over the worker pool.
@@ -465,10 +433,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var vIdx []int
 	var cjobs []engine.CorrectJob
 	var cIdx []int
-	for i, j := range req.Jobs {
-		switch j.Op {
+	for i, j := range jobs {
+		switch j.op {
 		case "validate":
-			wf, v, err := decodePair(j.Workflow, j.View)
+			wf, v, err := decodePair(j.workflow, j.view)
 			if err != nil {
 				results[i] = BatchResult{Error: asEngineError(err)}
 				continue
@@ -476,12 +444,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			vjobs = append(vjobs, engine.ValidateJob{Workflow: wf, View: v})
 			vIdx = append(vIdx, i)
 		case "correct":
-			wf, v, err := decodePair(j.Workflow, j.View)
+			wf, v, err := decodePair(j.workflow, j.view)
 			if err != nil {
 				results[i] = BatchResult{Error: asEngineError(err)}
 				continue
 			}
-			criterion := j.Criterion
+			criterion := j.criterion
 			if criterion == "" {
 				criterion = "strong"
 			}
@@ -496,7 +464,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		default:
 			results[i] = BatchResult{Error: &engine.Error{
 				Code: engine.ErrBadInput, Op: "batch",
-				Message: fmt.Sprintf("unknown op %q (want validate|correct)", j.Op)}}
+				Message: fmt.Sprintf("unknown op %q (want validate|correct)", j.op)}}
 		}
 	}
 

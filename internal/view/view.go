@@ -10,7 +10,9 @@ package view
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wolves/internal/dag"
@@ -53,22 +55,59 @@ type Builder struct {
 	wf    *workflow.Workflow
 	name  string
 	order []string
-	comps map[string][]string
-	names map[string]string
+	// comps holds each composite's members as workflow task indices,
+	// resolved on Assign; an ID the workflow lacks is stored as ^k, k
+	// indexing unknown, and reported by Build in assignment order.
+	comps   map[string][]int
+	names   map[string]string
+	unknown []string
 }
 
 // NewBuilder returns a view builder over wf.
 func NewBuilder(wf *workflow.Workflow, name string) *Builder {
-	return &Builder{wf: wf, name: name, comps: map[string][]string{}, names: map[string]string{}}
+	return &Builder{wf: wf, name: name, comps: map[string][]int{}, names: map[string]string{}}
 }
 
 // Assign adds task IDs to composite compID (created on first use).
 func (b *Builder) Assign(compID string, taskIDs ...string) *Builder {
-	if _, ok := b.comps[compID]; !ok {
+	ms := b.members(compID)
+	for _, tid := range taskIDs {
+		ti, ok := b.wf.Index(tid)
+		if !ok {
+			ti = b.unknownTask(tid)
+		}
+		ms = append(ms, ti)
+	}
+	b.comps[compID] = ms
+	return b
+}
+
+// assignBytes is Assign for task IDs held as bytes.
+func (b *Builder) assignBytes(compID string, taskIDs [][]byte) {
+	ms := b.members(compID)
+	for _, tid := range taskIDs {
+		ti, ok := b.wf.IndexBytes(tid)
+		if !ok {
+			ti = b.unknownTask(string(tid))
+		}
+		ms = append(ms, ti)
+	}
+	b.comps[compID] = ms
+}
+
+// members returns compID's member list, registering the composite on
+// first use.
+func (b *Builder) members(compID string) []int {
+	ms, ok := b.comps[compID]
+	if !ok {
 		b.order = append(b.order, compID)
 	}
-	b.comps[compID] = append(b.comps[compID], taskIDs...)
-	return b
+	return ms
+}
+
+func (b *Builder) unknownTask(tid string) int {
+	b.unknown = append(b.unknown, tid)
+	return ^(len(b.unknown) - 1)
 }
 
 // Named sets the human-readable name of a composite.
@@ -83,6 +122,7 @@ func (b *Builder) Build() (*View, error) {
 	v := &View{
 		wf:     b.wf,
 		name:   b.name,
+		comps:  make([]Composite, 0, len(b.order)),
 		compOf: make([]int, b.wf.N()),
 		index:  make(map[string]int, len(b.order)),
 	}
@@ -90,8 +130,8 @@ func (b *Builder) Build() (*View, error) {
 		v.compOf[i] = -1
 	}
 	for _, cid := range b.order {
-		ids := b.comps[cid]
-		if len(ids) == 0 {
+		ms := b.comps[cid]
+		if len(ms) == 0 {
 			return nil, fmt.Errorf("%w: %q", ErrEmptyComp, cid)
 		}
 		if _, dup := v.index[cid]; dup {
@@ -103,20 +143,18 @@ func (b *Builder) Build() (*View, error) {
 		if name == "" {
 			name = cid
 		}
-		comp := Composite{ID: cid, Name: name}
-		for _, tid := range ids {
-			ti, ok := b.wf.Index(tid)
-			if !ok {
-				return nil, fmt.Errorf("view: composite %q: %w: task %q", cid, workflow.ErrUnknownTask, tid)
+		for _, ti := range ms {
+			if ti < 0 {
+				return nil, fmt.Errorf("view: composite %q: %w: task %q", cid, workflow.ErrUnknownTask, b.unknown[^ti])
 			}
 			if v.compOf[ti] != -1 {
-				return nil, fmt.Errorf("%w: task %q assigned twice", ErrNotPartition, tid)
+				return nil, fmt.Errorf("%w: task %q assigned twice", ErrNotPartition, b.wf.Task(ti).ID)
 			}
 			v.compOf[ti] = ci
-			comp.members = append(comp.members, ti)
 		}
-		sort.Ints(comp.members)
-		v.comps = append(v.comps, comp)
+		members := slices.Clone(ms)
+		slices.Sort(members)
+		v.comps = append(v.comps, Composite{ID: cid, Name: name, members: members})
 	}
 	for ti, ci := range v.compOf {
 		if ci == -1 {
@@ -307,57 +345,111 @@ func (v *View) MergeComposites(newID string, compIDs ...string) (*View, error) {
 }
 
 // ReplaceComposite returns a new view in which composite id is replaced
-// by the given blocks (task-index sets partitioning its members). Block
-// IDs are id+".1", id+".2", … unless there is exactly one block, which
-// keeps the original ID. This is how corrector splits are applied.
+// by the given blocks (task-index sets partitioning its members): the
+// one-composite case of SplitComposites. This is how interactive splits
+// are applied.
 func (v *View) ReplaceComposite(id string, blocks [][]int) (*View, error) {
 	ci, ok := v.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownComp, id)
 	}
-	seen := map[int]bool{}
-	total := 0
-	for _, blk := range blocks {
-		if len(blk) == 0 {
-			return nil, fmt.Errorf("%w: in split of %q", ErrEmptyComp, id)
+	return v.SplitComposites([]Split{{Comp: ci, Blocks: blocks}})
+}
+
+// Split replaces composite index Comp by Blocks, task-index sets that
+// partition its members.
+type Split struct {
+	Comp   int
+	Blocks [][]int
+}
+
+// SplitComposites returns a new view in which every split composite is
+// replaced, in place, by its blocks, in one pass. A composite split
+// into one block keeps its ID (its name resets to the ID); the blocks
+// of a composite with ID id get IDs id+".1", id+".2", …, skipping every
+// ID the view already has or an earlier block took — so a block never
+// merges into an existing composite, and every composite of the result
+// is a subset of exactly one composite of v. Block names equal their
+// IDs; other composites keep theirs. With no splits, v is returned.
+func (v *View) SplitComposites(splits []Split) (*View, error) {
+	if len(splits) == 0 {
+		return v, nil
+	}
+	blocksOf := make([][][]int, len(v.comps))
+	seen := make([]bool, len(v.compOf))
+	for _, sp := range splits {
+		ci := sp.Comp
+		if ci < 0 || ci >= len(v.comps) {
+			return nil, fmt.Errorf("%w: index %d", ErrUnknownComp, ci)
 		}
-		for _, t := range blk {
-			if v.compOf[t] != ci {
-				return nil, fmt.Errorf("view: split of %q contains foreign task %q", id, v.wf.Task(t).ID)
+		id := v.comps[ci].ID
+		if blocksOf[ci] != nil {
+			return nil, fmt.Errorf("view: composite %q split twice", id)
+		}
+		total := 0
+		for _, blk := range sp.Blocks {
+			if len(blk) == 0 {
+				return nil, fmt.Errorf("%w: in split of %q", ErrEmptyComp, id)
 			}
-			if seen[t] {
-				return nil, fmt.Errorf("%w: task %q duplicated in split of %q", ErrNotPartition, v.wf.Task(t).ID, id)
+			for _, t := range blk {
+				if v.compOf[t] != ci {
+					return nil, fmt.Errorf("view: split of %q contains foreign task %q", id, v.wf.Task(t).ID)
+				}
+				if seen[t] {
+					return nil, fmt.Errorf("%w: task %q duplicated in split of %q", ErrNotPartition, v.wf.Task(t).ID, id)
+				}
+				seen[t] = true
+				total++
 			}
-			seen[t] = true
-			total++
+		}
+		if total != len(v.comps[ci].members) {
+			return nil, fmt.Errorf("%w: split of %q covers %d of %d members", ErrNotPartition, id, total, len(v.comps[ci].members))
+		}
+		blocksOf[ci] = sp.Blocks
+	}
+	nv := &View{
+		wf:     v.wf,
+		name:   v.name,
+		comps:  make([]Composite, 0, len(v.comps)+len(splits)),
+		compOf: make([]int, len(v.compOf)),
+		index:  make(map[string]int, len(v.comps)+len(splits)),
+	}
+	add := func(c Composite) {
+		ci := len(nv.comps)
+		nv.index[c.ID] = ci
+		for _, t := range c.members {
+			nv.compOf[t] = ci
+		}
+		nv.comps = append(nv.comps, c)
+	}
+	for ci := range v.comps {
+		c := v.comps[ci]
+		blocks := blocksOf[ci]
+		switch {
+		case blocks == nil:
+			add(c)
+		case len(blocks) == 1:
+			add(Composite{ID: c.ID, Name: c.ID, members: c.members})
+		default:
+			k := 0
+			for _, blk := range blocks {
+				var bid string
+				for {
+					k++
+					bid = c.ID + "." + strconv.Itoa(k)
+					_, old := v.index[bid]
+					_, taken := nv.index[bid]
+					if !old && !taken {
+						break
+					}
+				}
+				members := slices.Clone(blk)
+				slices.Sort(members)
+				add(Composite{ID: bid, Name: bid, members: members})
+			}
 		}
 	}
-	if total != len(v.comps[ci].members) {
-		return nil, fmt.Errorf("%w: split of %q covers %d of %d members", ErrNotPartition, id, total, len(v.comps[ci].members))
-	}
-	b := NewBuilder(v.wf, v.name)
-	for i := range v.comps {
-		c := &v.comps[i]
-		if i != ci {
-			for _, t := range c.members {
-				b.Assign(c.ID, v.wf.Task(t).ID)
-			}
-			b.Named(c.ID, c.Name)
-			continue
-		}
-		for bi, blk := range blocks {
-			bid := id
-			if len(blocks) > 1 {
-				bid = fmt.Sprintf("%s.%d", id, bi+1)
-			}
-			sorted := append([]int(nil), blk...)
-			sort.Ints(sorted)
-			for _, t := range sorted {
-				b.Assign(bid, v.wf.Task(t).ID)
-			}
-		}
-	}
-	return b.Build()
+	return nv, nil
 }
 
 // ExtendSingletons returns a view covering every workflow task the view

@@ -8,6 +8,7 @@ package workflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,14 +54,14 @@ var (
 type Builder struct {
 	name  string
 	tasks []Task
+	index map[string]int // task ID → position in tasks
 	edges [][2]string
 	errs  []error
-	seen  map[string]bool
 }
 
 // NewBuilder returns a Builder for a workflow with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, seen: map[string]bool{}}
+	return &Builder{name: name, index: map[string]int{}}
 }
 
 // AddTask registers an atomic task. Returns the builder for chaining.
@@ -69,17 +70,22 @@ func (b *Builder) AddTask(id string, opts ...TaskOption) *Builder {
 	for _, o := range opts {
 		o(&t)
 	}
-	if id == "" {
-		b.errs = append(b.errs, errors.New("workflow: empty task id"))
-		return b
-	}
-	if b.seen[id] {
-		b.errs = append(b.errs, fmt.Errorf("%w: %q", ErrDuplicateTask, id))
-		return b
-	}
-	b.seen[id] = true
-	b.tasks = append(b.tasks, t)
+	b.addTask(t)
 	return b
+}
+
+// addTask records t, or the error that rejects it.
+func (b *Builder) addTask(t Task) {
+	if t.ID == "" {
+		b.errs = append(b.errs, errors.New("workflow: empty task id"))
+		return
+	}
+	if _, dup := b.index[t.ID]; dup {
+		b.errs = append(b.errs, fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID))
+		return
+	}
+	b.index[t.ID] = len(b.tasks)
+	b.tasks = append(b.tasks, t)
 }
 
 // TaskOption customizes a task at AddTask time.
@@ -105,29 +111,34 @@ func (b *Builder) Chain(ids ...string) *Builder {
 	return b
 }
 
-// Build validates and freezes the workflow.
+// Build validates and freezes the workflow. The builder stays usable.
 func (b *Builder) Build() (*Workflow, error) {
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
+	index := make(map[string]int, len(b.tasks))
+	for i, t := range b.tasks {
+		index[t.ID] = i
 	}
-	if len(b.tasks) == 0 {
+	return build(b.name, slices.Clone(b.tasks), index, b.errs, b.edges)
+}
+
+// build validates and freezes a workflow over tasks and their ID index,
+// taking ownership of both. Edge endpoints are task IDs as strings
+// (Builder) or as byte spans of a decoded document, which resolve
+// without a string per endpoint.
+func build[S string | []byte](name string, tasks []Task, index map[string]int, errs []error, edges [][2]S) (*Workflow, error) {
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	if len(tasks) == 0 {
 		return nil, ErrEmpty
 	}
-	w := &Workflow{
-		name:  b.name,
-		tasks: append([]Task(nil), b.tasks...),
-		index: make(map[string]int, len(b.tasks)),
-	}
-	for i, t := range w.tasks {
-		w.index[t.ID] = i
-	}
+	w := &Workflow{name: name, tasks: tasks, index: index}
 	g := dag.New(len(w.tasks))
-	for _, e := range b.edges {
-		u, ok := w.index[e[0]]
+	for _, e := range edges {
+		u, ok := w.index[string(e[0])]
 		if !ok {
 			return nil, fmt.Errorf("%w: edge source %q", ErrUnknownTask, e[0])
 		}
-		v, ok := w.index[e[1]]
+		v, ok := w.index[string(e[1])]
 		if !ok {
 			return nil, fmt.Errorf("%w: edge target %q", ErrUnknownTask, e[1])
 		}
@@ -136,7 +147,7 @@ func (b *Builder) Build() (*Workflow, error) {
 		}
 	}
 	if _, err := g.TopoOrder(); err != nil {
-		return nil, fmt.Errorf("workflow %q: %w (cycle: %s)", b.name, err, describeCycle(g, w))
+		return nil, fmt.Errorf("workflow %q: %w (cycle: %s)", name, err, describeCycle(g, w))
 	}
 	w.g = g
 	return w, nil
@@ -171,6 +182,12 @@ func (w *Workflow) Task(i int) Task { return w.tasks[i] }
 // Index returns the dense index of a task ID.
 func (w *Workflow) Index(id string) (int, bool) {
 	i, ok := w.index[id]
+	return i, ok
+}
+
+// IndexBytes is Index for an ID held as bytes; it does not allocate.
+func (w *Workflow) IndexBytes(id []byte) (int, bool) {
+	i, ok := w.index[string(id)]
 	return i, ok
 }
 
