@@ -26,8 +26,7 @@ import (
 // must route every mutation through AddEdge/Grow (mutating the graph
 // directly would silently desynchronize the closure). The structure is
 // not safe for concurrent use; the registry serializes mutations behind
-// a write lock and lets readers share the closure rows behind a read
-// lock.
+// a write lock and serves lock-free readers from label forks.
 type IncrementalClosure struct {
 	g   *Graph
 	fwd *Closure // Row(u) = reflexive descendants of u
@@ -39,9 +38,7 @@ type IncrementalClosure struct {
 	// ancestors. Edge insertion patches both in the same Italiano pass
 	// that ORs closure rows; past the patch budget they are dropped and
 	// lazily rebuilt on the next Labels() call, bounding fragmentation
-	// from long patch sequences. Both nil while stale or when the graph
-	// exceeded the label interval budget (callers fall back to closure
-	// rows) — they are always present or absent together.
+	// from long patch sequences. Both nil exactly while stale.
 	labels        *Labels
 	revLabels     *Labels
 	labelsStale   bool
@@ -74,18 +71,10 @@ func (ic *IncrementalClosure) rebuild() {
 	ic.labelsStale = true
 }
 
-// rebuildLabels builds the forward/reverse label pair; if either blows
-// the interval budget both are dropped, keeping the pair invariant.
+// rebuildLabels builds the forward/reverse label pair.
 func (ic *IncrementalClosure) rebuildLabels() {
 	ic.labels = BuildLabels(ic.g)
-	if ic.labels != nil {
-		ic.revLabels = BuildLabels(ic.g.Reversed())
-		if ic.revLabels == nil {
-			ic.labels = nil
-		}
-	} else {
-		ic.revLabels = nil
-	}
+	ic.revLabels = BuildLabels(ic.g.Reversed())
 	ic.labelsStale = false
 	ic.labelBuilds++
 }
@@ -110,10 +99,9 @@ func (ic *IncrementalClosure) labelPatchBudget() int64 {
 }
 
 // Labels returns the current forward label index, rebuilding the pair
-// first when a patch-budget overrun marked it stale. It returns nil
-// when the graph blew the interval budget — closure rows remain
-// authoritative either way. The returned index is mutated by
-// AddEdge/Grow; concurrent readers must hold a Fork instead.
+// first when a patch-budget overrun marked it stale; never nil. The
+// returned index is mutated by AddEdge/Grow; concurrent readers must
+// hold a Fork instead.
 func (ic *IncrementalClosure) Labels() *Labels {
 	if ic.labelsStale {
 		ic.rebuildLabels()
@@ -121,8 +109,8 @@ func (ic *IncrementalClosure) Labels() *Labels {
 	return ic.labels
 }
 
-// RevLabels returns the reverse (ancestor-direction) label index, nil
-// exactly when Labels is nil. Same rebuild and sharing rules.
+// RevLabels returns the reverse (ancestor-direction) label index. Same
+// rebuild and sharing rules as Labels.
 func (ic *IncrementalClosure) RevLabels() *Labels {
 	if ic.labelsStale {
 		ic.rebuildLabels()
@@ -206,7 +194,8 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 	// anc(u); u already reaching x implies anc(u) ⊆ anc(x), so the skip
 	// is exact). rows_rev[u] is never the patched row — u ∈ desc(v)
 	// would be the cycle rejected above — so the merge source is stable.
-	if rl := ic.revLabels; rl != nil {
+	if !ic.labelsStale {
+		rl := ic.revLabels
 		ic.fwd.Row(v).ForEach(func(x int) bool {
 			if ic.fwd.Reaches(u, x) {
 				return true
@@ -242,10 +231,10 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 		// reach(w) ∪ reach(v), so merging v's interval cover into w's
 		// keeps the exact-cover invariant (v is never an ancestor of u
 		// here, so rows[v] is stable throughout the loop).
-		if lbl := ic.labels; lbl != nil {
-			lbl.Patch(w, v)
+		if !ic.labelsStale {
+			ic.labels.Patch(w, v)
 			ic.labelPatches++
-			if lbl.patches >= patchBudget {
+			if ic.labels.patches >= patchBudget {
 				ic.dropLabels()
 			}
 		}
@@ -271,7 +260,7 @@ func (ic *IncrementalClosure) Grow(k int) int {
 	n := ic.g.N()
 	ic.fwd = growClosure(ic.fwd, n)
 	ic.rev = growClosure(ic.rev, n)
-	if ic.labels != nil {
+	if !ic.labelsStale {
 		ic.labels.Grow(k)
 		ic.revLabels.Grow(k)
 	}

@@ -1,14 +1,17 @@
 package dag
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file implements the interval / tree-cover reachability label
 // index (Agrawal–Borgida–Jagadish): each node carries a short sorted
 // list of postorder intervals whose union covers exactly the postorder
 // positions of its reachable set. Membership — "does u reach v?" — is a
 // binary search over u's intervals instead of a closure-row bit test,
-// and, unlike closure rows, a label fits in a couple of cache lines, so
-// the query serve path never touches an O(n)-bit row.
+// and, unlike closure rows, a label usually fits in a couple of cache
+// lines, so the query serve path need not touch an O(n)-bit row.
 //
 // Construction numbers a spanning forest of the condensation in
 // postorder (so every subtree owns a contiguous interval), then merges
@@ -18,9 +21,11 @@ import "slices"
 // label and one postorder position, which reproduces the reflexive
 // closure semantics of Reachability exactly.
 //
-// Worst-case label size is O(n) intervals per node; graphs that
-// actually hit that blow-up are detected by an interval budget, in
-// which case Build returns nil and callers fall back to closure rows.
+// Worst-case label size is O(n) intervals per node. A build that
+// exceeds the interval budget finishes in dense mode instead: every row
+// becomes a bitmap over postorder positions (n/64 words), which is
+// never larger than a closure row. Every method answers identically in
+// both modes, so callers never see which one they hold.
 
 // Interval is a closed range [Lo, Hi] of postorder positions.
 type Interval struct {
@@ -47,15 +52,21 @@ type Labels struct {
 	// installs a freshly allocated row, never mutates one in place, so
 	// forked snapshots stay immutable.
 	rows [][]Interval
+	// bits replaces rows in dense mode (rows is nil then): bits[u] is a
+	// bitmap over postorder positions, bit p set iff u reaches position
+	// p. A row may be shorter than the position space; the positions past
+	// its end are unset. Same sharing and copy-on-patch rules as rows.
+	bits [][]uint64
 
 	intervals int   // current total interval count across rows
+	words     int   // current total bitmap word count across bits
 	patches   int64 // Patch calls since the last build
 }
 
 // labelBudgetFactor bounds the total interval count of a label index to
 // factor×n (+ a small constant floor). Beyond it the cover is
-// degenerating toward quadratic memory and closure rows are the better
-// representation, so Build gives up and returns nil. 128 admits dense
+// degenerating toward quadratic memory and bitmaps are the better
+// representation, so Build finishes in dense mode. 128 admits dense
 // layered DAGs (a 4096-task, 16-layer, p=0.05 graph needs ~85
 // intervals/node ≈ 2.7 MB) while still refusing covers within ~3% of
 // the quadratic worst case at that size.
@@ -63,9 +74,8 @@ const labelBudgetFactor = 128
 
 func labelBudget(n int) int { return labelBudgetFactor*n + 256 }
 
-// BuildLabels computes the label index of g, cyclic or not. It returns
-// nil when the interval budget is exceeded — the caller keeps serving
-// from closure rows in that case.
+// BuildLabels computes the label index of g, cyclic or not: interval
+// rows within the interval budget, bitmap rows (dense mode) past it.
 func BuildLabels(g *Graph) *Labels {
 	n := g.n
 	l := &Labels{
@@ -190,7 +200,8 @@ func BuildLabels(g *Graph) *Labels {
 		crows[c] = row
 		l.intervals += len(row)
 		if l.intervals > budget {
-			return nil
+			l.finishDense(order, csuccs, post, sccOf)
+			return l
 		}
 	}
 	// Rows are shared across SCC members (and counted once: the shared
@@ -202,6 +213,33 @@ func BuildLabels(g *Graph) *Labels {
 		l.rows[u] = crows[sccOf[u]]
 	}
 	return l
+}
+
+// finishDense replaces an interval build that blew the budget with
+// bitmap rows, merged in the same reverse topological order: component
+// c's row is its own position plus the union of its successors' rows.
+// All rows share one backing array; Patch replaces rows, never writes
+// them.
+func (l *Labels) finishDense(order []int32, csuccs [][]int32, post, sccOf []int32) {
+	p := len(order)
+	w := MarkWords(p)
+	backing := make([]uint64, p*w)
+	cbits := make([][]uint64, p)
+	for i, c := range order {
+		row := backing[i*w : (i+1)*w : (i+1)*w]
+		row[post[c]>>6] |= 1 << (uint(post[c]) & 63)
+		for _, s := range csuccs[c] {
+			for j, x := range cbits[s] {
+				row[j] |= x
+			}
+		}
+		cbits[c] = row
+	}
+	l.bits = make([][]uint64, len(sccOf))
+	for u, c := range sccOf {
+		l.bits[u] = cbits[c]
+	}
+	l.intervals, l.words = 0, p*w
 }
 
 // mergeIntervals sorts ivs by Lo and coalesces overlapping or adjacent
@@ -232,6 +270,10 @@ func mergeIntervals(dst, ivs []Interval) []Interval {
 // scan below a handful of intervals.
 func (l *Labels) Reaches(u, v int) bool {
 	p := l.pos[v]
+	if l.bits != nil {
+		row := l.bits[u]
+		return int(p>>6) < len(row) && row[p>>6]&(1<<(uint(p)&63)) != 0
+	}
 	row := l.rows[u]
 	if len(row) <= 8 {
 		for _, iv := range row {
@@ -259,16 +301,24 @@ func (l *Labels) Reaches(u, v int) bool {
 
 // AppendReachable appends the reachable set of u (reflexive, ascending
 // node order) to dst and returns the extended slice. This is the
-// ordered iterator of the index: it walks u's intervals and the
-// position→node table, never a closure row.
+// ordered iterator of the index: it walks u's intervals (or set bits,
+// in dense mode) and the position→node table, never a closure row.
 func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 	start := len(dst)
-	for _, iv := range l.rows[u] {
-		lo, hi := l.byPosStart[iv.Lo], l.byPosStart[iv.Hi+1]
-		dst = append(dst, l.byPosNodes[lo:hi]...)
+	if l.bits != nil {
+		for i, x := range l.bits[u] {
+			for ; x != 0; x &= x - 1 {
+				p := i<<6 + bits.TrailingZeros64(x)
+				dst = append(dst, l.byPosNodes[l.byPosStart[p]:l.byPosStart[p+1]]...)
+			}
+		}
+	} else {
+		for _, iv := range l.rows[u] {
+			lo, hi := l.byPosStart[iv.Lo], l.byPosStart[iv.Hi+1]
+			dst = append(dst, l.byPosNodes[lo:hi]...)
+		}
 	}
-	added := dst[start:]
-	slices.Sort(added)
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -279,6 +329,18 @@ func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 // Patch is only meaningful on indexes built over acyclic graphs (the
 // IncrementalClosure's case); SCC-shared rows are never patched.
 func (l *Labels) Patch(w, v int) {
+	l.patches++
+	if l.bits != nil {
+		old, src := l.bits[w], l.bits[v]
+		row := make([]uint64, max(len(old), len(src)))
+		copy(row, old)
+		for i, x := range src {
+			row[i] |= x
+		}
+		l.bits[w] = row
+		l.words += len(row) - len(old)
+		return
+	}
 	old := l.rows[w]
 	scratch := make([]Interval, 0, len(old)+len(l.rows[v]))
 	scratch = append(scratch, old...)
@@ -289,14 +351,13 @@ func (l *Labels) Patch(w, v int) {
 	merged := mergeIntervals(scratch[:0], scratch)
 	l.rows[w] = merged
 	l.intervals += len(merged) - len(old)
-	l.patches++
 }
 
 // Grow appends k new isolated nodes, each its own postorder position
-// with a singleton self-interval — exactly what a from-scratch build of
-// the grown graph produces for isolated nodes appended last. All
-// existing rows and tables are untouched (append-only), so forked
-// snapshots remain valid.
+// with a singleton self-interval (in dense mode, a one-bit row) —
+// exactly what a from-scratch build of the grown graph produces for
+// isolated nodes appended last. All existing rows and tables are
+// untouched (append-only), so forked snapshots remain valid.
 func (l *Labels) Grow(k int) {
 	for i := 0; i < k; i++ {
 		u := int32(len(l.pos))
@@ -304,6 +365,13 @@ func (l *Labels) Grow(k int) {
 		l.pos = append(l.pos, q)
 		l.byPosNodes = append(l.byPosNodes, u)
 		l.byPosStart = append(l.byPosStart, int32(len(l.byPosNodes)))
+		if l.bits != nil {
+			row := make([]uint64, q>>6+1)
+			row[q>>6] = 1 << (uint(q) & 63)
+			l.bits = append(l.bits, row)
+			l.words += len(row)
+			continue
+		}
 		l.rows = append(l.rows, []Interval{{Lo: q, Hi: q}})
 		l.intervals++
 	}
@@ -320,7 +388,9 @@ func (l *Labels) Fork() *Labels {
 		byPosStart: l.byPosStart,
 		byPosNodes: l.byPosNodes,
 		rows:       slices.Clone(l.rows),
+		bits:       slices.Clone(l.bits),
 		intervals:  l.intervals,
+		words:      l.words,
 		patches:    l.patches,
 	}
 }
@@ -330,8 +400,15 @@ func (l *Labels) Fork() *Labels {
 // position of u's reachable set. Together with Marked this turns a
 // batch of membership tests against one source node into O(1) lookups:
 // interval runs are set word-wise, so marking costs O(intervals +
-// span/64) regardless of how many tests follow.
+// span/64) regardless of how many tests follow. A dense row is ORed in
+// word by word.
 func (l *Labels) MarkRow(mark []uint64, u int) {
+	if l.bits != nil {
+		for i, x := range l.bits[u] {
+			mark[i] |= x
+		}
+		return
+	}
 	for _, iv := range l.rows[u] {
 		lw, hw := int(iv.Lo)>>6, int(iv.Hi)>>6
 		loMask := ^uint64(0) << (uint(iv.Lo) & 63)
@@ -363,7 +440,8 @@ func MarkWords(n int) int { return (n + 63) / 64 }
 func (l *Labels) N() int { return len(l.pos) }
 
 // Intervals returns the total interval count across all rows (shared
-// SCC rows counted once per node).
+// SCC rows counted once); 0 in dense mode, which MemoryBytes still
+// covers.
 func (l *Labels) Intervals() int { return l.intervals }
 
 // Patches returns the number of Patch calls since the build.
@@ -372,7 +450,7 @@ func (l *Labels) Patches() int64 { return l.patches }
 // MemoryBytes estimates the resident size of the index.
 func (l *Labels) MemoryBytes() int64 {
 	b := int64(len(l.pos))*4 + int64(len(l.byPosStart))*4 + int64(len(l.byPosNodes))*4
-	b += int64(len(l.rows)) * 24 // slice headers
-	b += int64(l.intervals) * 8
+	b += int64(len(l.rows)+len(l.bits)) * 24 // slice headers
+	b += int64(l.intervals)*8 + int64(l.words)*8
 	return b
 }

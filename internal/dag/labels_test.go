@@ -177,3 +177,80 @@ func TestLabelsStats(t *testing.T) {
 		t.Fatal("no memory accounted")
 	}
 }
+
+// bipartiteStage builds a random k×k bipartite stage: each of the k
+// sources has an edge to each of the k sinks with probability p. At
+// k=1024, p=0.5 the interval cover overruns the budget in both
+// directions (the threshold sits near k≈1010 and moves with the seed).
+func bipartiteStage(rng *rand.Rand, k int, p float64) *Graph {
+	g := New(2 * k)
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			if rng.Float64() < p {
+				g.MustAddEdge(u, k+v)
+			}
+		}
+	}
+	return g
+}
+
+func checkDense(t *testing.T, g *Graph, l *Labels) {
+	t.Helper()
+	if l == nil || l.bits == nil {
+		t.Fatal("over-budget build did not finish in dense mode")
+	}
+	checkLabelsMatchClosure(t, g, l)
+}
+
+// TestDenseLabelsMatchClosure is the over-budget property: labels that
+// finished in dense mode answer exactly like closure rows after a build
+// (acyclic and cyclic), through incremental Patch and Grow, and in a
+// Fork taken before further mutation.
+func TestDenseLabelsMatchClosure(t *testing.T) {
+	const k = 1024
+	rng := rand.New(rand.NewSource(12))
+	g := bipartiteStage(rng, k, 0.5)
+	checkDense(t, g, BuildLabels(g))
+
+	// Cyclic: 2-cycles among the sinks, as in an unsound view's quotient.
+	cyc := g.Clone()
+	for i := 0; i < 8; i++ {
+		a, b := k+rng.Intn(k), k+rng.Intn(k)
+		if a != b {
+			cyc.MustAddEdge(a, b)
+			cyc.MustAddEdge(b, a)
+		}
+	}
+	if cyc.IsAcyclic() {
+		t.Fatal("cyclic variant is acyclic")
+	}
+	checkDense(t, cyc, BuildLabels(cyc))
+
+	ic, err := NewIncrementalClosure(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDense(t, ic.Graph(), ic.Labels())
+	checkDense(t, ic.Graph().Reversed(), ic.RevLabels())
+	fork, revFork := ic.Labels().Fork(), ic.RevLabels().Fork()
+	before := ic.Graph().Clone()
+
+	// Sink→sink edges patch the rows of every source reaching the tail;
+	// a grown node wired in patches again past the old position space.
+	first := ic.Grow(2)
+	for _, e := range [][2]int{{k + 1, k + 2}, {first, k + 3}, {k + 3, first + 1}} {
+		if _, err := ic.AddEdge(e[0], e[1], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ic.LabelRebuilds() != 0 {
+		t.Fatalf("patch budget forced %d rebuilds; the test must check patched rows", ic.LabelRebuilds())
+	}
+	if ic.Labels().Patches() == 0 {
+		t.Fatal("no dense patches applied")
+	}
+	checkDense(t, ic.Graph(), ic.Labels())
+	checkDense(t, ic.Graph().Reversed(), ic.RevLabels())
+	checkDense(t, before, fork)
+	checkDense(t, before.Reversed(), revFork)
+}

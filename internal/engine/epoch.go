@@ -1,57 +1,59 @@
 package engine
 
 import (
+	"sync"
 	"sync/atomic"
 
+	"wolves/internal/bitset"
 	"wolves/internal/dag"
 	"wolves/internal/obs"
 	"wolves/internal/provenance"
 	"wolves/internal/view"
 )
 
-// This file implements the epoch-stamped, lock-free read session behind
-// the run store's lineage serve path. Every committed state transition
+// This file implements the epoch-stamped, lock-free read session that
+// serves every lineage answer. Every committed state transition
 // (registration, mutation, view attach/detach — the restore paths
 // re-enter the same functions) publishes a fresh ReadEpoch through an
 // atomic pointer: an immutable snapshot of exactly what a lineage query
-// needs — the workflow version, the task-ID table, a forked reachability
-// label index, and per-view label indexes over the quotient graphs.
-// Readers load the pointer and serve without ever touching the
-// workflow's RWMutex, so heavy read traffic stops contending with
-// mutations entirely. The only lazily filled piece is the audited
-// level's provenance audit, which must read live closure rows: the
-// first audited query per (view, version) takes the read lock to build
-// it, verifies the epoch is still current, and caches the result on the
-// epoch — every later audited query at that version is lock-free again.
+// needs — the workflow version, the task-ID table, forked reachability
+// label indexes, and per-view label indexes over the quotient graphs.
+// A label build never fails (past its interval budget it finishes with
+// bitmap rows), so a live workflow always has an epoch, except while
+// the registry is restoring. Readers load the pointer and serve without
+// ever touching the workflow's RWMutex. The lazily filled pieces — the
+// per-view provenance audit and the task-ID index — are derived from
+// the epoch itself, so they too are built and cached without a lock.
 
 // ReadEpoch is an immutable snapshot of one live workflow version for
-// lock-free lineage reads. Obtain one with LiveWorkflow.Epoch; a nil
-// epoch means the label index is unavailable (interval budget exceeded,
-// or the workflow is closed) and callers serve through the locked
-// ProvSession path instead.
+// lock-free lineage reads. Obtain one with LiveWorkflow.Epoch.
 type ReadEpoch struct {
 	version uint64
 	taskIDs []string
 	labels  *dag.Labels
 	rev     *dag.Labels
 	views   map[string]*EpochView
+
+	// index maps task IDs to indices, built on first use by
+	// LiveWorkflow.Lineage.
+	indexOnce sync.Once
+	index     map[string]int32
 }
 
 // EpochView is the per-view slice of a ReadEpoch: the immutable view
-// object of that version, its soundness at publication, a label index
+// object of that version, its soundness at publication, label indexes
 // over the quotient graph, and the lazily cached provenance audit.
 type EpochView struct {
 	v     *view.View
 	sound bool
 	// labels/revLabels are the composite-level label indexes (forward
-	// and ancestor direction); both nil when the quotient graph blew
-	// the interval budget (readers fall back to the locked path for
-	// this view).
+	// and ancestor direction).
 	labels    *dag.Labels
 	revLabels *dag.Labels
-	// audit caches the provenance audit for this epoch's version,
-	// filled by LiveWorkflow.EpochAudit under the read lock on the
-	// first audited query.
+	// tasks is the epoch's forward task-level index: the ground truth
+	// the audit checks the quotient labels against.
+	tasks *dag.Labels
+	// audit caches the provenance audit at this epoch's version.
 	audit atomic.Pointer[provenance.ViewAudit]
 }
 
@@ -64,17 +66,28 @@ func (ep *ReadEpoch) TaskID(u int) string { return ep.taskIDs[u] }
 // Tasks returns the number of tasks at the epoch's version.
 func (ep *ReadEpoch) Tasks() int { return len(ep.taskIDs) }
 
-// Labels returns the task-level reachability label index (never nil on
-// a published epoch).
+// Labels returns the task-level reachability label index.
 func (ep *ReadEpoch) Labels() *dag.Labels { return ep.labels }
 
-// RevLabels returns the ancestor-direction task-level index (never nil
-// on a published epoch): RevLabels().Reaches(v, u) ⇔ u reaches v.
+// RevLabels returns the ancestor-direction task-level index:
+// RevLabels().Reaches(v, u) ⇔ u reaches v.
 func (ep *ReadEpoch) RevLabels() *dag.Labels { return ep.rev }
 
 // View returns the epoch's snapshot of view vid, or nil when the view
 // was not attached at this version.
 func (ep *ReadEpoch) View(vid string) *EpochView { return ep.views[vid] }
+
+// taskIndex resolves a task ID at the epoch's version.
+func (ep *ReadEpoch) taskIndex(id string) (int, bool) {
+	ep.indexOnce.Do(func() {
+		ep.index = make(map[string]int32, len(ep.taskIDs))
+		for i, tid := range ep.taskIDs {
+			ep.index[tid] = int32(i)
+		}
+	})
+	i, ok := ep.index[id]
+	return int(i), ok
+}
 
 // View returns the immutable view object (views are replaced wholesale
 // on mutation, never mutated in place).
@@ -83,41 +96,84 @@ func (ev *EpochView) View() *view.View { return ev.v }
 // Sound reports the view's maintained soundness at the epoch's version.
 func (ev *EpochView) Sound() bool { return ev.sound }
 
-// Labels returns the composite-level label index, or nil when the
-// quotient graph exceeded the interval budget.
+// Labels returns the composite-level label index.
 func (ev *EpochView) Labels() *dag.Labels { return ev.labels }
 
-// RevLabels returns the ancestor-direction composite-level index, nil
-// exactly when Labels is nil.
+// RevLabels returns the ancestor-direction composite-level index.
 func (ev *EpochView) RevLabels() *dag.Labels { return ev.revLabels }
 
-// Epoch returns the current read epoch, or nil when lock-free serving
-// is unavailable (no epoch published yet, label budget exceeded, or the
-// workflow closed). The returned epoch may lag the live version during
-// an in-flight mutation; answers served from it are consistent as of
-// its stamped version.
+// Audit returns the provenance audit of the view at the epoch's version
+// (spurious and missing composite pairs against ground truth). The
+// first call builds it from the epoch's task labels and quotient labels
+// and caches it with a compare-and-swap: concurrent first callers may
+// each build one, and all return the one that was cached.
+func (ev *EpochView) Audit() *provenance.ViewAudit {
+	if a := ev.audit.Load(); a != nil {
+		obs.MAuditCacheHits.Inc()
+		return a
+	}
+	obs.MAuditCacheMisses.Inc()
+	a := ev.buildAudit()
+	if !ev.audit.CompareAndSwap(nil, a) {
+		return ev.audit.Load()
+	}
+	return a
+}
+
+// buildAudit derives both audit relations from labels: a composite's
+// ground-truth reach is the union of its members' task rows, mapped to
+// composites; what the view reports upstream of b is b's ancestor row
+// in the quotient.
+func (ev *EpochView) buildAudit() *provenance.ViewAudit {
+	v, k, n := ev.v, ev.v.N(), ev.tasks.N()
+	truth := make([]*bitset.Set, k)
+	mark := make([]uint64, dag.MarkWords(n))
+	for c := 0; c < k; c++ {
+		clear(mark)
+		for _, t := range v.Composite(c).Members() {
+			ev.tasks.MarkRow(mark, t)
+		}
+		truth[c] = bitset.New(k)
+		for t := 0; t < n; t++ {
+			if ev.tasks.Marked(mark, t) {
+				truth[c].Set(v.CompOf(t))
+			}
+		}
+	}
+	reportedUp := make([]*bitset.Set, k)
+	mark = make([]uint64, dag.MarkWords(k))
+	for b := 0; b < k; b++ {
+		clear(mark)
+		ev.revLabels.MarkRow(mark, b)
+		reportedUp[b] = bitset.New(k)
+		for a := 0; a < k; a++ {
+			if ev.revLabels.Marked(mark, a) {
+				reportedUp[b].Set(a)
+			}
+		}
+	}
+	return provenance.NewViewAudit(truth, reportedUp)
+}
+
+// Epoch returns the current read epoch: nil only while the workflow is
+// closed or the registry is restoring (BeginRestore to EndRestore). The
+// returned epoch may lag the live version during an in-flight mutation;
+// answers served from it are consistent as of its stamped version.
 func (lw *LiveWorkflow) Epoch() *ReadEpoch { return lw.epoch.Load() }
 
 // publishEpochLocked rebuilds and atomically publishes the read epoch.
 // Callers hold the write lock (or own lw exclusively, pre-publication).
-// When the task graph's label index is unavailable the epoch is cleared
-// and readers fall back to the locked path wholesale.
 func (lw *LiveWorkflow) publishEpochLocked() {
 	if lw.reg.restoring.Load() {
 		// Replay mode (Registry.BeginRestore): defer the rebuild, clear
-		// any stale epoch so readers take the locked path meanwhile.
-		lw.epoch.Store(nil)
-		return
-	}
-	labels := lw.ic.Labels()
-	if labels == nil {
+		// any stale epoch until EndRestore publishes.
 		lw.epoch.Store(nil)
 		return
 	}
 	ep := &ReadEpoch{
 		version: lw.version,
 		taskIDs: make([]string, lw.wf.N()),
-		labels:  labels.Fork(),
+		labels:  lw.ic.Labels().Fork(),
 		rev:     lw.ic.RevLabels().Fork(),
 		views:   make(map[string]*EpochView, len(lw.views)),
 	}
@@ -128,50 +184,68 @@ func (lw *LiveWorkflow) publishEpochLocked() {
 		ep.taskIDs[i] = lw.wf.Task(i).ID
 	}
 	for vid, lv := range lw.views {
-		ev := &EpochView{v: lv.v, sound: lv.report.Sound}
 		qg := lv.v.Graph()
-		ev.labels = dag.BuildLabels(qg)
-		if ev.labels != nil {
-			ev.revLabels = dag.BuildLabels(qg.Reversed())
-			if ev.revLabels == nil {
-				ev.labels = nil
-			}
+		ep.views[vid] = &EpochView{
+			v:         lv.v,
+			sound:     lv.report.Sound,
+			labels:    dag.BuildLabels(qg),
+			revLabels: dag.BuildLabels(qg.Reversed()),
+			tasks:     ep.labels,
 		}
 		lw.reg.viewLabelBuilds.Add(1)
-		ep.views[vid] = ev
 	}
 	lw.epoch.Store(ep)
 	obs.MEpochPublishes.Inc()
 }
 
-// EpochAudit returns the provenance audit of view vid at exactly ep's
-// version, building and caching it on the epoch under the read lock on
-// first use. ok is false when the audit cannot be pinned to ep's
-// version — the workflow moved on, closed, or dropped the view — in
-// which case the caller re-resolves a fresh epoch or falls back to the
-// locked session path.
-func (lw *LiveWorkflow) EpochAudit(ep *ReadEpoch, vid string) (audit *provenance.ViewAudit, ok bool) {
+// Lineage answers a provenance query for taskID through view vid from
+// the read epoch, contrasting the exact workflow-level answer with the
+// view-level one.
+func (lw *LiveWorkflow) Lineage(vid, taskID string) (*LineageResult, error) {
+	ep := lw.Epoch()
+	if ep == nil {
+		return nil, lw.errClosed("lineage")
+	}
 	ev := ep.views[vid]
 	if ev == nil {
-		return nil, false
+		return nil, errf(ErrUnknownView, "lineage", "no view %q on workflow %q", vid, lw.id)
 	}
-	if a := ev.audit.Load(); a != nil {
-		obs.MAuditCacheHits.Inc()
-		return a, true
+	t, ok := ep.taskIndex(taskID)
+	if !ok {
+		return nil, errf(ErrUnknownTask, "lineage", "no task %q in workflow %q", taskID, lw.id)
 	}
-	lw.mu.RLock()
-	defer lw.mu.RUnlock()
-	if lw.closed || lw.version != ep.version {
-		return nil, false
+	v, n := ev.v, ep.Tasks()
+	home := v.CompOf(t)
+	exact := make([]uint64, dag.MarkWords(n))
+	ep.rev.MarkRow(exact, t)
+	comps := make([]uint64, dag.MarkWords(v.N()))
+	ev.revLabels.MarkRow(comps, home)
+	res := &LineageResult{
+		Task:             taskID,
+		Version:          ep.version,
+		ViewSound:        ev.sound,
+		WorkflowLineage:  []string{},
+		ViewLineage:      []string{},
+		CompositeLineage: []string{},
 	}
-	lv := lw.views[vid]
-	if lv == nil || lv.v != ev.v {
-		return nil, false
+	for ci := 0; ci < v.N(); ci++ {
+		if ci != home && ev.revLabels.Marked(comps, ci) {
+			res.CompositeLineage = append(res.CompositeLineage, v.Composite(ci).ID)
+		}
 	}
-	obs.MAuditCacheMisses.Inc()
-	a := lv.viewAudit(lw.prov)
-	ev.audit.Store(a)
-	return a, true
+	for u := 0; u < n; u++ {
+		inExact := u != t && ep.rev.Marked(exact, u)
+		if inExact {
+			res.WorkflowLineage = append(res.WorkflowLineage, ep.taskIDs[u])
+		}
+		if cu := v.CompOf(u); cu != home && ev.revLabels.Marked(comps, cu) {
+			res.ViewLineage = append(res.ViewLineage, ep.taskIDs[u])
+			if !inExact {
+				res.FalsePositives = append(res.FalsePositives, ep.taskIDs[u])
+			}
+		}
+	}
+	return res, nil
 }
 
 // LabelStats aggregates label-index counters for /v1/stats: lifetime
@@ -179,11 +253,8 @@ func (lw *LiveWorkflow) EpochAudit(ep *ReadEpoch, vid string) (audit *provenance
 // resident interval count and memory footprint of every live index
 // (task-level and per-view).
 type LabelStats struct {
-	// Workflows counts resident workflows currently serving lock-free
-	// from a label index; Disabled counts residents whose graphs blew
-	// the interval budget (serving from closure rows).
+	// Workflows counts resident workflows with a published read epoch.
 	Workflows int `json:"workflows"`
-	Disabled  int `json:"disabled"`
 	// Builds / Rebuilds / Patches are task-level index counters summed
 	// over resident workflows: full builds, rebuilds forced past the
 	// patch damage threshold, and incremental edge patches.
@@ -194,7 +265,8 @@ type LabelStats struct {
 	// builds across all publications.
 	ViewBuilds int64 `json:"view_builds"`
 	// Intervals / MemoryBytes cover every resident index, task-level
-	// and view-level.
+	// and view-level (Intervals counts interval rows only; dense-mode
+	// bitmap rows show up in MemoryBytes).
 	Intervals   int64 `json:"intervals"`
 	MemoryBytes int64 `json:"memory_bytes"`
 }
@@ -222,17 +294,14 @@ func (r *Registry) LabelStats() LabelStats {
 		ep := lw.epoch.Load()
 		lw.mu.RUnlock()
 		if ep == nil {
-			st.Disabled++
-			continue
+			continue // restoring
 		}
 		st.Workflows++
 		st.Intervals += int64(ep.labels.Intervals()) + int64(ep.rev.Intervals())
 		st.MemoryBytes += ep.labels.MemoryBytes() + ep.rev.MemoryBytes()
 		for _, ev := range ep.views {
-			if ev.labels != nil {
-				st.Intervals += int64(ev.labels.Intervals()) + int64(ev.revLabels.Intervals())
-				st.MemoryBytes += ev.labels.MemoryBytes() + ev.revLabels.MemoryBytes()
-			}
+			st.Intervals += int64(ev.labels.Intervals()) + int64(ev.revLabels.Intervals())
+			st.MemoryBytes += ev.labels.MemoryBytes() + ev.revLabels.MemoryBytes()
 		}
 	}
 	return st

@@ -131,9 +131,10 @@ func (r *Registry) Restore(id string, version uint64, wf *workflow.Workflow, vie
 // thousands of records per workflow before anyone can query, so
 // publishing a fresh read epoch after every one is pure waste; deferred,
 // each workflow pays for exactly one publication at the end of recovery.
-// Pair with EndRestore before the registry serves traffic. Queries
-// issued while restoring (recovery itself runs some) fall back to the
-// locked session path and stay correct.
+// Pair with EndRestore before the registry serves traffic: until then
+// no workflow has a read epoch, and lineage queries answer
+// unknown_workflow. (Run ingestion during replay validates through the
+// locked session, which needs no epoch.)
 func (r *Registry) BeginRestore() { r.restoring.Store(true) }
 
 // EndRestore leaves replay mode and publishes one read epoch per live

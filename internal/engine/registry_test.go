@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -468,6 +469,36 @@ func TestRegistryLineageFigure1(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.FalsePositives, []string{"3", "4"}) {
 		t.Fatalf("false positives %v, want [3 4]", res.FalsePositives)
+	}
+}
+
+// TestLineageSourceTaskEmptyArrays pins the wire shape of a task with
+// no upstream composite: every lineage list is [], never null.
+func TestLineageSourceTaskEmptyArrays(t *testing.T) {
+	wf, err := workflow.NewBuilder("ab").AddTask("a").AddTask("b").AddEdge("a", "b").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := NewRegistry(New()).Register("ab", wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := lw.AttachView("atomic", func(wf *workflow.Workflow) (*view.View, error) {
+		return view.Atomic(wf), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := lw.Lineage("atomic", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"task":"a","version":1,"view_sound":true,"workflow_lineage":[],"view_lineage":[],"composite_lineage":[]}`
+	if string(got) != want {
+		t.Fatalf("lineage of a source task:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -49,29 +49,9 @@ func AuditView(e *Engine, v *view.View) *ViewAudit {
 	if !workflow.Same(v.Workflow(), e.wf) {
 		panic("provenance: view belongs to a different workflow")
 	}
-	return AuditViewUsing(e, NewViewEngine(v))
-}
-
-// AuditViewUsing is AuditView against a caller-held view engine,
-// skipping the quotient-closure build — the registry path, where the
-// cached ViewEngine of the live view is already in hand.
-func AuditViewUsing(e *Engine, ve *ViewEngine) *ViewAudit {
-	v := ve.View()
-	if !workflow.Same(v.Workflow(), e.wf) {
-		panic("provenance: view belongs to a different workflow")
-	}
-	k := v.N()
-	a := &ViewAudit{
-		Composites:         k,
-		SpuriousUpstream:   make([][]int, k),
-		SpuriousDownstream: make([][]int, k),
-		MissingUpstream:    make([][]int, k),
-		MissingDownstream:  make([][]int, k),
-	}
-
 	// trueReach[A] = set of composites containing a task reachable from
 	// some member of A.
-	n := e.wf.N()
+	k, n := v.N(), e.wf.N()
 	trueReach := make([]*bitset.Set, k)
 	for c := 0; c < k; c++ {
 		row := bitset.New(n)
@@ -85,14 +65,32 @@ func AuditViewUsing(e *Engine, ve *ViewEngine) *ViewAudit {
 		})
 		trueReach[c] = cs
 	}
+	return NewViewAudit(trueReach, NewViewEngine(v).anc)
+}
+
+// NewViewAudit classifies every ordered pair (A, B), A≠B, of a
+// k-composite view from two composite-level relations: truth[A] holds
+// the composites with a member reachable from some member of A (ground
+// truth), reportedUp[B] the composites the view places upstream of B
+// (B included or not; the diagonal is skipped). AuditView and the
+// registry's read epoch both build their audits here.
+func NewViewAudit(truth, reportedUp []*bitset.Set) *ViewAudit {
+	k := len(truth)
+	a := &ViewAudit{
+		Composites:         k,
+		SpuriousUpstream:   make([][]int, k),
+		SpuriousDownstream: make([][]int, k),
+		MissingUpstream:    make([][]int, k),
+		MissingDownstream:  make([][]int, k),
+	}
 	for b := 0; b < k; b++ {
-		reported := ve.anc[b]
+		reported := reportedUp[b]
 		wrong := false
 		for a2 := 0; a2 < k; a2++ {
 			if a2 == b {
 				continue
 			}
-			real := trueReach[a2].Test(b)
+			real := truth[a2].Test(b)
 			rep := reported.Test(a2)
 			if real {
 				a.TruePairs++

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"wolves/internal/core"
-	"wolves/internal/dag"
 	"wolves/internal/repo"
 	"wolves/internal/soundness"
 	"wolves/internal/view"
@@ -268,34 +267,5 @@ func TestAncestorsConcurrentBuild(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("goroutine %d: lineage %v, want %v", i, got, want)
 		}
-	}
-}
-
-// TestNewEngineWithClosures pins that a registry-backed engine sharing
-// an incrementally maintained transpose answers identically to the
-// self-built one, and stays current through in-place edge mutations.
-func TestNewEngineWithClosures(t *testing.T) {
-	wf, _ := repo.Figure1()
-	ic, err := dag.NewIncrementalClosure(wf.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewEngineWithClosures(wf, ic.Fwd(), ic.Rev())
-	fresh := NewEngine(wf)
-	for i := 0; i < wf.N(); i++ {
-		if !reflect.DeepEqual(live.Lineage(i), fresh.Lineage(i)) {
-			t.Fatalf("task %d: shared-transpose lineage diverges", i)
-		}
-	}
-
-	// Mutate in place: 3→8 gives task 8 the whole 1-2-3 ancestry. The
-	// live engine must see it without any rebuild.
-	u, v := wf.MustIndex("3"), wf.MustIndex("8")
-	if _, err := ic.AddEdge(u, v, nil); err != nil {
-		t.Fatal(err)
-	}
-	wf.StructureChanged()
-	if !reflect.DeepEqual(live.Lineage(v), NewEngine(wf).Lineage(v)) {
-		t.Fatal("live engine stale after in-place edge mutation")
 	}
 }
