@@ -33,6 +33,9 @@ type ReadEpoch struct {
 	labels  *dag.Labels
 	rev     *dag.Labels
 	views   map[string]*EpochView
+	// plainTasks is the workflow's task-ID plainness bit at publication
+	// (workflow.Workflow.PlainIDs): an O(1) copy, never a scan.
+	plainTasks bool
 
 	// index maps task IDs to indices, built on first use by
 	// LiveWorkflow.Lineage.
@@ -62,6 +65,10 @@ func (ep *ReadEpoch) Version() uint64 { return ep.version }
 
 // TaskID returns the ID of task index u at the epoch's version.
 func (ep *ReadEpoch) TaskID(u int) string { return ep.taskIDs[u] }
+
+// PlainTaskIDs reports that every task ID of the epoch is
+// jsonscan.Plain, so answer encoders may copy them without escaping.
+func (ep *ReadEpoch) PlainTaskIDs() bool { return ep.plainTasks }
 
 // Tasks returns the number of tasks at the epoch's version.
 func (ep *ReadEpoch) Tasks() int { return len(ep.taskIDs) }
@@ -171,11 +178,12 @@ func (lw *LiveWorkflow) publishEpochLocked() {
 		return
 	}
 	ep := &ReadEpoch{
-		version: lw.version,
-		taskIDs: make([]string, lw.wf.N()),
-		labels:  lw.ic.Labels().Fork(),
-		rev:     lw.ic.RevLabels().Fork(),
-		views:   make(map[string]*EpochView, len(lw.views)),
+		version:    lw.version,
+		taskIDs:    make([]string, lw.wf.N()),
+		plainTasks: lw.wf.PlainIDs(),
+		labels:     lw.ic.Labels().Fork(),
+		rev:        lw.ic.RevLabels().Fork(),
+		views:      make(map[string]*EpochView, len(lw.views)),
 	}
 	// The task-ID table is copied: ExtendTasks appends to the live
 	// workflow's slice in place, so sharing the header with lock-free

@@ -13,6 +13,9 @@
 // null as leave-unchanged (but slice-clearing), short fixed arrays
 // zero-filled and long ones truncated, lone surrogates and invalid
 // UTF-8 replaced by U+FFFD, and the scanner's nesting cap.
+//
+// The package also holds the one predicate encoders share with it,
+// Plain: the strings encoding/json writes unchanged between quotes.
 package jsonscan
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"wolves/internal/engine"
 	"wolves/internal/gen"
@@ -178,6 +179,59 @@ func BenchmarkLineageServe(b *testing.B) {
 					ans.Release()
 				}
 				b.SetBytes(int64(len(buf)))
+			})
+		}
+	}
+}
+
+// BenchmarkAnswerEncode isolates the wire encoder on one served answer
+// per level: ns/op is AppendJSON on the answer as served (its ID lists
+// flagged plain, so they are copied); escape-ns/op is the same answer
+// decoded into a fresh Answer, whose lists take the escaping path; and
+// escape/copy is the ratio of the two, escape-ns/op its base. Both
+// encode to the same bytes (checked before timing).
+func BenchmarkAnswerEncode(b *testing.B) {
+	for _, n := range []int{2048, 4096} {
+		s, wf := benchStore(b, n)
+		if _, err := s.Ingest("wf", fullRunDoc(wf, "full")); err != nil {
+			b.Fatal(err)
+		}
+		sink := "a" + wf.Task(n-1).ID
+		for _, level := range []string{LevelExact, LevelView, LevelAudited} {
+			q := Query{Run: "full", Artifact: sink}
+			if level != LevelExact {
+				q.Level, q.View = level, "iv"
+			}
+			served, err := s.Lineage("wf", q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			raw, err := json.Marshal(served)
+			if err != nil {
+				b.Fatal(err)
+			}
+			escaped := new(Answer)
+			if err := json.Unmarshal(raw, escaped); err != nil {
+				b.Fatal(err)
+			}
+			if string(served.AppendJSON(nil)) != string(escaped.AppendJSON(nil)) {
+				b.Fatal("copy and escape paths encode different bytes")
+			}
+			b.Run(fmt.Sprintf("level=%s/n=%d", level, n), func(b *testing.B) {
+				var buf []byte
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					buf = escaped.AppendJSON(buf[:0])
+				}
+				escape := time.Since(start)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = served.AppendJSON(buf[:0])
+				}
+				b.StopTimer()
+				b.SetBytes(int64(len(buf)))
+				b.ReportMetric(float64(escape.Nanoseconds())/float64(b.N), "escape-ns/op")
+				b.ReportMetric(float64(escape)/float64(b.Elapsed()), "escape/copy")
 			})
 		}
 	}

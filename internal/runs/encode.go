@@ -12,6 +12,12 @@ import (
 // string cases) — while appending into a caller-owned buffer so the
 // serve path never round-trips through reflection or an intermediate
 // []byte per response.
+//
+// The ID lists are where the bytes are. Every ID table records once,
+// when its IDs enter the daemon, whether all of them are
+// jsonscan.Plain; an answer carries those bits, and a list whose bit is
+// set is encoded by copying each ID between quotes — exactly what the
+// escaper would produce for it, without the per-byte scan.
 
 const jsonHex = "0123456789abcdef"
 
@@ -70,9 +76,21 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendStringArray appends xs as a JSON array of strings; a nil slice
-// encodes as null, matching encoding/json.
-func appendStringArray(dst []byte, xs []string) []byte {
+// appendString appends s as a JSON string literal: by copying when the
+// caller knows s is jsonscan.Plain, through the escaper otherwise.
+func appendString(dst []byte, s string, plain bool) []byte {
+	if !plain {
+		return appendJSONString(dst, s)
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendStringArray appends xs as a JSON array of strings, copying them
+// when plain says every one is jsonscan.Plain; a nil slice encodes as
+// null, matching encoding/json.
+func appendStringArray(dst []byte, xs []string, plain bool) []byte {
 	if xs == nil {
 		return append(dst, "null"...)
 	}
@@ -81,7 +99,7 @@ func appendStringArray(dst []byte, xs []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONString(dst, x)
+		dst = appendString(dst, x, plain)
 	}
 	return append(dst, ']')
 }
@@ -113,9 +131,9 @@ func (a *Answer) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `,"version":`...)
 	dst = strconv.AppendUint(dst, a.Version, 10)
 	dst = append(dst, `,"tasks":`...)
-	dst = appendStringArray(dst, a.Tasks)
+	dst = appendStringArray(dst, a.Tasks, a.plainTasks)
 	dst = append(dst, `,"artifacts":`...)
-	dst = appendStringArray(dst, a.Artifacts)
+	dst = appendStringArray(dst, a.Artifacts, a.plainArts)
 	if a.View != "" {
 		dst = append(dst, `,"view":`...)
 		dst = appendJSONString(dst, a.View)
@@ -126,7 +144,7 @@ func (a *Answer) AppendJSON(dst []byte) []byte {
 	}
 	if len(a.Composites) > 0 {
 		dst = append(dst, `,"composites":`...)
-		dst = appendStringArray(dst, a.Composites)
+		dst = appendStringArray(dst, a.Composites, a.plainComps)
 	}
 	if a.Sound != nil {
 		dst = append(dst, `,"sound":`...)
@@ -134,15 +152,15 @@ func (a *Answer) AppendJSON(dst []byte) []byte {
 	}
 	if len(a.Spurious) > 0 {
 		dst = append(dst, `,"spurious_composites":`...)
-		dst = appendStringArray(dst, a.Spurious)
+		dst = appendStringArray(dst, a.Spurious, a.plainComps)
 	}
 	if len(a.Missing) > 0 {
 		dst = append(dst, `,"missing_composites":`...)
-		dst = appendStringArray(dst, a.Missing)
+		dst = appendStringArray(dst, a.Missing, a.plainComps)
 	}
 	if len(a.SpuriousTasks) > 0 {
 		dst = append(dst, `,"spurious_tasks":`...)
-		dst = appendStringArray(dst, a.SpuriousTasks)
+		dst = appendStringArray(dst, a.SpuriousTasks, a.plainTasks)
 	}
 	if len(a.Witness) > 0 {
 		dst = append(dst, `,"witness":[`...)
@@ -152,11 +170,11 @@ func (a *Answer) AppendJSON(dst []byte) []byte {
 			}
 			e := &a.Witness[i]
 			dst = append(dst, `{"relation":`...)
-			dst = appendJSONString(dst, e.Relation)
+			dst = appendString(dst, e.Relation, a.plainWitness)
 			dst = append(dst, `,"process":`...)
-			dst = appendJSONString(dst, e.Process)
+			dst = appendString(dst, e.Process, a.plainWitness)
 			dst = append(dst, `,"artifact":`...)
-			dst = appendJSONString(dst, e.Artifact)
+			dst = appendString(dst, e.Artifact, a.plainWitness)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')

@@ -497,11 +497,13 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 	sc *ingestScratch, legacyDocs bool) (*Run, *engine.Error) {
 	run := &Run{
-		id:      w.Run,
-		version: version,
-		n:       wf.N(),
-		artIdx:  make(map[string]int32, len(w.Artifacts)),
-		invoked: bitset.New(wf.N()),
+		id:         w.Run,
+		version:    version,
+		n:          wf.N(),
+		artIdx:     make(map[string]int32, len(w.Artifacts)),
+		invoked:    bitset.New(wf.N()),
+		plainProcs: true,
+		plainArts:  true,
 	}
 	implicit := len(w.Invocations) == 0
 	clear(sc.procIdx)
@@ -513,6 +515,7 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 		run.procID = append(run.procID, id)
 		run.procTask = append(run.procTask, int32(task))
 		run.invoked.Set(task)
+		run.plainProcs = run.plainProcs && jsonscan.Plain(id)
 		return pi
 	}
 	for i, inv := range w.Invocations {
@@ -573,6 +576,7 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 		run.artIdx[a.ID] = int32(len(run.artID))
 		run.artID = append(run.artID, a.ID)
 		run.artGen = append(run.artGen, gen)
+		run.plainArts = run.plainArts && jsonscan.Plain(a.ID)
 	}
 
 	for _, u := range w.Used {

@@ -96,6 +96,15 @@ type Answer struct {
 	// pooled answer never allocates a bool cell per query.
 	viewSoundVal bool
 	soundVal     bool
+
+	// The plain* bits copy the ID tables' jsonscan.Plain bits into the
+	// answer: a set bit lets AppendJSON copy that list's IDs without
+	// escaping. plainTasks covers Tasks and SpuriousTasks, plainArts
+	// Artifacts, plainComps the composite lists, and plainWitness the
+	// witness edges (constant relations, invocation and artifact IDs).
+	// Answers built outside the store leave them false and take the
+	// escaping path.
+	plainTasks, plainArts, plainComps, plainWitness bool
 }
 
 var answerPool = sync.Pool{New: func() any { return new(Answer) }}
@@ -234,10 +243,14 @@ func (r *Run) answer(ep *engine.ReadEpoch, ev *engine.EpochView, q Query, ai int
 	ans.Level = level
 	ans.Direction = dir
 	ans.Version = ep.Version()
+	ans.plainTasks = ep.PlainTaskIDs()
+	ans.plainArts = r.plainArts
+	ans.plainWitness = r.plainArts && r.plainProcs
 	if level != LevelExact {
 		ans.View = q.View
 		ans.viewSoundVal = ev.Sound()
 		ans.ViewSound = &ans.viewSoundVal
+		ans.plainComps = ev.View().PlainIDs()
 	}
 
 	gen := r.artGen[ai]

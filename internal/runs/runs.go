@@ -177,6 +177,10 @@ type Run struct {
 	artGen []int32 // artifact → generating invocation, -1 = external input
 	artIdx map[string]int32
 
+	// plainProcs/plainArts record, at ingestion, that every invocation
+	// or artifact ID is jsonscan.Plain (the answer encoder's copy path).
+	plainProcs, plainArts bool
+
 	used      [][2]int32 // (invocation, artifact), ingestion order
 	usedStart []int32    // CSR offsets: artifacts used by each invocation
 	usedArt   []int32

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"mime"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,7 +27,7 @@ import (
 //	GET  /v1/workflows/{id}/runs                   list ingested runs
 //	GET  /v1/workflows/{id}/runs/{rid}             run metadata
 //	GET  /v1/workflows/{id}/runs/{rid}/lineage     ?artifact=…&level=exact|view|audited
-//	                                               [&view=vid][&direction=ancestors|descendants][&witness=1]
+//	                                               [&view=vid][&direction=ancestors|descendants][&witness=true|false]
 //	POST /v1/workflows/{id}/runs/query             {"queries": [{…}, …]} (worker-pool batch)
 //	GET  /v1/stats                                 cache / registry / run-store counters
 
@@ -224,10 +226,14 @@ func (s *Server) handleRunLineage(w http.ResponseWriter, r *http.Request) {
 		View:      qs.Get("view"),
 		Direction: qs.Get("direction"),
 	}
-	switch qs.Get("witness") {
-	case "", "0", "false":
-	default:
-		q.Witness = true
+	if wv := qs.Get("witness"); wv != "" {
+		witness, err := strconv.ParseBool(wv)
+		if err != nil {
+			writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "lineage",
+				Message: fmt.Sprintf("witness %q is not a boolean (want 1, t, true, 0, f or false)", wv)})
+			return
+		}
+		q.Witness = witness
 	}
 	ans, err := s.runs.LineageCtx(r.Context(), r.PathValue("id"), q)
 	if err != nil {

@@ -421,3 +421,36 @@ func TestIngestBatchHTTP(t *testing.T) {
 		t.Fatalf("lineage over batch run: %d %s", status, resp)
 	}
 }
+
+// TestWitnessParamStrict pins the witness query parameter to
+// strconv.ParseBool: every spelling of false leaves the witness out,
+// every spelling of true adds it, and anything else is a 400 bad_input
+// rather than a silent witness.
+func TestWitnessParamStrict(t *testing.T) {
+	ts, _ := bootRunServer(t)
+	if status, body := do(t, ts, http.MethodPost, "/v1/workflows/phylo/runs", figure1HTTPRun("r1"), ""); status != http.StatusOK {
+		t.Fatalf("ingest: %d %s", status, body)
+	}
+	const path = "/v1/workflows/phylo/runs/r1/lineage?artifact=a8"
+	for _, tc := range []struct {
+		value   string
+		witness bool
+	}{
+		{"", false}, {"0", false}, {"false", false}, {"False", false}, {"f", false},
+		{"1", true}, {"true", true}, {"TRUE", true}, {"t", true},
+	} {
+		status, body := do(t, ts, http.MethodGet, path+"&witness="+tc.value, "", "")
+		if status != http.StatusOK {
+			t.Fatalf("witness=%q: %d %s", tc.value, status, body)
+		}
+		if got := strings.Contains(body, `"witness":`); got != tc.witness {
+			t.Fatalf("witness=%q: witness in answer = %v, want %v: %s", tc.value, got, tc.witness, body)
+		}
+	}
+	for _, value := range []string{"off", "on", "yes", "no", "2", "tru"} {
+		status, body := do(t, ts, http.MethodGet, path+"&witness="+value, "", "")
+		if status != http.StatusBadRequest || !strings.Contains(body, "bad_input") {
+			t.Fatalf("witness=%q = %d %s, want 400 bad_input", value, status, body)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"wolves/internal/dag"
+	"wolves/internal/jsonscan"
 	"wolves/internal/workflow"
 )
 
@@ -40,6 +41,9 @@ type View struct {
 	comps  []Composite
 	compOf []int
 	index  map[string]int
+	// plainIDs is true when every composite ID is jsonscan.Plain,
+	// recorded when the view is constructed (views are immutable).
+	plainIDs bool
 }
 
 // Errors reported during view construction and editing.
@@ -120,11 +124,12 @@ func (b *Builder) Named(compID, name string) *Builder {
 // the view.
 func (b *Builder) Build() (*View, error) {
 	v := &View{
-		wf:     b.wf,
-		name:   b.name,
-		comps:  make([]Composite, 0, len(b.order)),
-		compOf: make([]int, b.wf.N()),
-		index:  make(map[string]int, len(b.order)),
+		wf:       b.wf,
+		name:     b.name,
+		comps:    make([]Composite, 0, len(b.order)),
+		compOf:   make([]int, b.wf.N()),
+		index:    make(map[string]int, len(b.order)),
+		plainIDs: true,
 	}
 	for i := range v.compOf {
 		v.compOf[i] = -1
@@ -155,6 +160,7 @@ func (b *Builder) Build() (*View, error) {
 		members := slices.Clone(ms)
 		slices.Sort(members)
 		v.comps = append(v.comps, Composite{ID: cid, Name: name, members: members})
+		v.plainIDs = v.plainIDs && jsonscan.Plain(cid)
 	}
 	for ti, ci := range v.compOf {
 		if ci == -1 {
@@ -251,6 +257,10 @@ func (v *View) CompIndex(id string) (int, bool) {
 	i, ok := v.index[id]
 	return i, ok
 }
+
+// PlainIDs reports that every composite ID is jsonscan.Plain, so
+// encoders may copy composite IDs without escaping.
+func (v *View) PlainIDs() bool { return v.plainIDs }
 
 // CompOf returns the composite index containing workflow task index t.
 func (v *View) CompOf(t int) int { return v.compOf[t] }
@@ -413,6 +423,8 @@ func (v *View) SplitComposites(splits []Split) (*View, error) {
 		comps:  make([]Composite, 0, len(v.comps)+len(splits)),
 		compOf: make([]int, len(v.compOf)),
 		index:  make(map[string]int, len(v.comps)+len(splits)),
+		// Block IDs extend their composite's ID with a plain suffix.
+		plainIDs: v.plainIDs,
 	}
 	add := func(c Composite) {
 		ci := len(nv.comps)
@@ -472,11 +484,12 @@ func (v *View) ExtendSingletons() (*View, error) {
 		}
 	}
 	nv := &View{
-		wf:     v.wf,
-		name:   v.name,
-		comps:  append(make([]Composite, 0, len(v.comps)+n-len(v.compOf)), v.comps...),
-		compOf: append(make([]int, 0, n), v.compOf...),
-		index:  make(map[string]int, len(v.index)+n-len(v.compOf)),
+		wf:       v.wf,
+		name:     v.name,
+		comps:    append(make([]Composite, 0, len(v.comps)+n-len(v.compOf)), v.comps...),
+		compOf:   append(make([]int, 0, n), v.compOf...),
+		index:    make(map[string]int, len(v.index)+n-len(v.compOf)),
+		plainIDs: v.plainIDs,
 	}
 	for id, i := range v.index {
 		nv.index[id] = i
@@ -487,6 +500,7 @@ func (v *View) ExtendSingletons() (*View, error) {
 		nv.index[id] = ci
 		nv.comps = append(nv.comps, Composite{ID: id, Name: id, members: []int{t}})
 		nv.compOf = append(nv.compOf, ci)
+		nv.plainIDs = nv.plainIDs && jsonscan.Plain(id)
 	}
 	return nv, nil
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"wolves/internal/dag"
+	"wolves/internal/jsonscan"
 )
 
 // Task is an atomic task of a workflow specification.
@@ -36,6 +37,10 @@ type Workflow struct {
 	tasks []Task
 	index map[string]int
 	g     *dag.Graph
+	// plainIDs is true while every task ID is jsonscan.Plain. It is
+	// set once at build and can only be cleared (ExtendTasks adding a
+	// non-plain ID); TruncateTasks leaves it alone, which errs safe.
+	plainIDs bool
 
 	fpMu  sync.Mutex // guards fp, fpGen, gen
 	fp    string     // cached fingerprint (see Fingerprint)
@@ -131,7 +136,10 @@ func build[S string | []byte](name string, tasks []Task, index map[string]int, e
 	if len(tasks) == 0 {
 		return nil, ErrEmpty
 	}
-	w := &Workflow{name: name, tasks: tasks, index: index}
+	w := &Workflow{name: name, tasks: tasks, index: index, plainIDs: true}
+	for i := range tasks {
+		w.plainIDs = w.plainIDs && jsonscan.Plain(tasks[i].ID)
+	}
 	g := dag.New(len(w.tasks))
 	for _, e := range edges {
 		u, ok := w.index[string(e[0])]
@@ -208,6 +216,11 @@ func (w *Workflow) IDs() []string {
 	}
 	return out
 }
+
+// PlainIDs reports that every task ID is jsonscan.Plain, so encoders
+// may copy task IDs without escaping. A false result may be stale
+// after a TruncateTasks rollback; it never wrongly reads true.
+func (w *Workflow) PlainIDs() bool { return w.plainIDs }
 
 // Graph returns the underlying dependency DAG. Shared; do not mutate.
 func (w *Workflow) Graph() *dag.Graph { return w.g }
@@ -298,10 +311,11 @@ func (w *Workflow) String() string {
 // state.
 func (w *Workflow) Clone() *Workflow {
 	c := &Workflow{
-		name:  w.name,
-		tasks: append([]Task(nil), w.tasks...),
-		index: make(map[string]int, len(w.index)),
-		g:     w.g.Clone(),
+		name:     w.name,
+		tasks:    append([]Task(nil), w.tasks...),
+		index:    make(map[string]int, len(w.index)),
+		g:        w.g.Clone(),
+		plainIDs: w.plainIDs,
 	}
 	for id, i := range w.index {
 		c.index[id] = i
@@ -334,6 +348,7 @@ func (w *Workflow) ExtendTasks(ts []Task) (int, error) {
 		}
 		w.index[t.ID] = len(w.tasks)
 		w.tasks = append(w.tasks, t)
+		w.plainIDs = w.plainIDs && jsonscan.Plain(t.ID)
 	}
 	w.StructureChanged()
 	return first, nil
