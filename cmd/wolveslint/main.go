@@ -13,8 +13,10 @@
 //	go run ./cmd/wolveslint -only vfsseam,errcode ./internal/storage/...
 //
 // Suppress a single finding with `//lint:allow <analyzer> <reason>` on
-// or directly above the flagged line. Exit status is 1 when any
-// diagnostic survives, 2 on loading errors — so CI can gate on it.
+// or directly above the flagged line. A directive without a reason, or
+// one naming an analyzer that ran but found nothing there, is reported
+// as a "lint" finding. Exit status is 1 when any diagnostic survives, 2
+// on loading errors — so CI can gate on it.
 package main
 
 import (

@@ -13,17 +13,21 @@
 //
 // Suppression: a diagnostic is dropped when the line it lands on (or the
 // line directly above it) carries a `//lint:allow <name>[,<name>...]
-// [reason]` comment naming its analyzer. Analyzers may also consume
-// other `//lint:<verb>` directives via FileDirectives (the errcode
-// analyzer's `//lint:exhaustive errcode` marker, for example).
+// <reason>` comment naming its analyzer. Run reports a directive that
+// gives no reason, and one naming an analyzer that ran but suppressed
+// nothing there, so annotations cannot outlive the code they excuse.
+// Analyzers may also consume other `//lint:<verb>` directives via
+// FileDirectives (the errcode analyzer's `//lint:exhaustive errcode`
+// marker, for example).
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -105,41 +109,49 @@ func FileDirectives(fset *token.FileSet, f *ast.File) []Directive {
 	return out
 }
 
-// allowedLines returns, per line, the set of analyzer names allowed by
-// //lint:allow directives in f. The first argument of an allow
-// directive is a comma-separated analyzer list; the rest is free-form
-// rationale.
-func allowedLines(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
-	var allowed map[int]map[string]bool
-	for _, d := range FileDirectives(fset, f) {
-		if d.Verb != "allow" || len(d.Args) == 0 {
-			continue
-		}
-		if allowed == nil {
-			allowed = make(map[int]map[string]bool)
-		}
-		set := allowed[d.Line]
-		if set == nil {
-			set = make(map[string]bool)
-			allowed[d.Line] = set
-		}
-		for _, name := range strings.Split(d.Args[0], ",") {
-			set[strings.TrimSpace(name)] = true
-		}
-	}
-	return allowed
+// allowKey is one analyzer named by one //lint:allow directive.
+type allowKey struct {
+	file string
+	line int
+	name string
 }
 
 // Run applies every analyzer to every package and returns the surviving
-// findings sorted by position. Analyzer errors (not diagnostics) abort
-// the run.
+// findings sorted by position. It also reports, as analyzer "lint",
+// every //lint:allow directive without a reason and every analyzer name
+// in one that ran but suppressed nothing on the directive's line or the
+// next. Analyzer errors (not diagnostics) abort the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
+	lintf := func(file string, line int, format string, args ...any) {
+		findings = append(findings, Finding{Analyzer: "lint",
+			Pos: token.Position{Filename: file, Line: line}, Message: fmt.Sprintf(format, args...)})
+	}
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pkg := range pkgs {
-		// One suppression index per package, keyed by filename.
-		allowed := make(map[string]map[int]map[string]bool)
+		// used indexes the package's allow directives: the first argument
+		// is a comma-separated analyzer list, the rest the reason. A name
+		// turns true once it suppresses a finding.
+		used := make(map[allowKey]bool)
 		for _, f := range pkg.Files {
-			allowed[pkg.Fset.Position(f.Pos()).Filename] = allowedLines(pkg.Fset, f)
+			file := pkg.Fset.Position(f.Pos()).Filename
+			for _, d := range FileDirectives(pkg.Fset, f) {
+				if d.Verb != "allow" {
+					continue
+				}
+				if len(d.Args) < 2 {
+					lintf(file, d.Line, "//lint:allow needs an analyzer name and a reason")
+				}
+				if len(d.Args) == 0 {
+					continue
+				}
+				for _, name := range strings.Split(d.Args[0], ",") {
+					used[allowKey{file, d.Line, strings.TrimSpace(name)}] = false
+				}
+			}
 		}
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -151,9 +163,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			}
 			pass.Report = func(d Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)
-				byLine := allowed[pos.Filename]
-				if byLine[pos.Line][a.Name] || byLine[pos.Line-1][a.Name] {
-					return
+				for _, line := range []int{pos.Line, pos.Line - 1} {
+					k := allowKey{pos.Filename, line, a.Name}
+					if _, ok := used[k]; ok {
+						used[k] = true
+						return
+					}
 				}
 				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 			}
@@ -161,19 +176,20 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				return nil, fmt.Errorf("%s: %s: %w", pkg.PkgPath, a.Name, err)
 			}
 		}
+		for k, ok := range used {
+			if !ok && ran[k.name] {
+				lintf(k.file, k.line, "stale //lint:allow %s: no %s finding on this line or the next", k.name, k.name)
+			}
+		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message),
+		)
 	})
 	return findings, nil
 }

@@ -16,7 +16,7 @@
 //
 // Splitting one composite never affects the soundness of any other
 // composite (a block's soundness depends only on its member set and the
-// workflow), so CorrectView repairs a whole view by splitting each
+// workflow), so CorrectViewCtx repairs a whole view by splitting each
 // unsound composite independently.
 package core
 
@@ -29,6 +29,7 @@ import (
 
 	"wolves/internal/bitset"
 	"wolves/internal/soundness"
+	"wolves/internal/workflow"
 )
 
 // Criterion selects a correction algorithm.
@@ -135,11 +136,6 @@ type Result struct {
 // ErrOptimalLimit is returned when the composite exceeds OptimalLimit.
 var ErrOptimalLimit = errors.New("core: composite too large for the optimal corrector")
 
-// ErrOptimalTooLarge is the historical name of ErrOptimalLimit.
-//
-// Deprecated: test against ErrOptimalLimit.
-var ErrOptimalTooLarge = ErrOptimalLimit
-
 // ErrCanceled wraps a context cancellation observed inside a corrector;
 // errors.Is(err, context.Canceled) (or context.DeadlineExceeded) also
 // matches, since the context's own error is wrapped alongside.
@@ -150,26 +146,27 @@ func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
 }
 
-// SplitTask splits the given member set (the atomic tasks of one
-// composite) into sound blocks under the chosen criterion. A member set
-// that is already sound is returned as a single block under every
-// criterion.
-// Deprecated: use SplitTaskCtx so callers can cancel the exponential
-// optimal phase.
-func SplitTask(o *soundness.Oracle, members []int, crit Criterion, opts *Options) (*Result, error) {
-	return SplitTaskCtx(context.Background(), o, members, crit, opts) //lint:allow ctxpass compat wrapper anchors its own root
-}
+// ErrBadMembers is returned for a member set that is empty or names a
+// task twice. A member outside the workflow returns an error wrapping
+// workflow.ErrUnknownTask instead.
+var ErrBadMembers = errors.New("core: bad member set")
 
-// SplitTaskCtx is SplitTask with cooperative cancellation. The
-// polynomial phases poll ctx between merge passes; the exponential
-// phases (the Optimal subset DP and the StrongAudited exhaustive
-// auditor) poll it inside their enumeration loops every few thousand
-// states, so even a 2^20-state run aborts within milliseconds of ctx
-// firing. A canceled run returns an error wrapping both ErrCanceled and
-// the context's own error, and no partial result.
+// SplitTaskCtx splits the given member set (the atomic tasks of one
+// composite, as workflow task indices) into sound blocks under the
+// chosen criterion. A member set that is already sound is returned as a
+// single block under every criterion.
+//
+// Cancellation is cooperative. The polynomial phases poll ctx between
+// merge passes; the exponential phases (the Optimal subset DP and the
+// StrongAudited exhaustive auditor) poll it inside their enumeration
+// loops every few thousand states, so even a 2^20-state run aborts
+// within milliseconds of ctx firing. A canceled run returns an error
+// wrapping both ErrCanceled and the context's own error, and no partial
+// result.
 func SplitTaskCtx(ctx context.Context, o *soundness.Oracle, members []int, crit Criterion, opts *Options) (*Result, error) {
-	if len(members) == 0 {
-		return nil, errors.New("core: empty member set")
+	set, err := memberSet(o, members)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(ctx)
@@ -179,7 +176,7 @@ func SplitTaskCtx(ctx context.Context, o *soundness.Oracle, members []int, crit 
 	checks0 := o.Checks()
 	res := &Result{Criterion: crit}
 
-	if sound, _ := o.SoundSlice(members); sound {
+	if o.SetSoundQuick(set) {
 		blk := append([]int(nil), members...)
 		sort.Ints(blk)
 		res.Blocks = [][]int{blk}
@@ -225,6 +222,26 @@ func SplitTaskCtx(ctx context.Context, o *soundness.Oracle, members []int, crit 
 	res.Stats.SoundChecks = o.Checks() - checks0
 	res.Stats.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// memberSet checks that members is a non-empty set of distinct workflow
+// task indices and returns it as a bitset.
+func memberSet(o *soundness.Oracle, members []int) (*bitset.Set, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("%w: empty", ErrBadMembers)
+	}
+	n := o.Workflow().N()
+	set := bitset.New(n)
+	for _, t := range members {
+		if t < 0 || t >= n {
+			return nil, fmt.Errorf("core: task index %d out of range [0,%d): %w", t, n, workflow.ErrUnknownTask)
+		}
+		if set.Test(t) {
+			return nil, fmt.Errorf("%w: task index %d repeated", ErrBadMembers, t)
+		}
+		set.Set(t)
+	}
+	return set, nil
 }
 
 // partitioner maintains a partition of one composite's members into

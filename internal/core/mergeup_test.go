@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -75,7 +77,7 @@ func TestSplitTaskPhasesDegenerateAndFull(t *testing.T) {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
 	// pairs-only equals the weak corrector.
-	weak, err := SplitTask(o, f.T, Weak, nil)
+	weak, err := SplitTaskCtx(context.Background(), o, f.T, Weak, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestSplitTaskPhasesDegenerateAndFull(t *testing.T) {
 		t.Fatalf("pairs-only = %d blocks, weak = %d", len(p1.Blocks), len(weak.Blocks))
 	}
 	// full strong equals the strong corrector.
-	strong, err := SplitTask(o, f.T, Strong, nil)
+	strong, err := SplitTaskCtx(context.Background(), o, f.T, Strong, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +105,9 @@ func TestSplitTaskPhasesDegenerateAndFull(t *testing.T) {
 	}
 	if _, err := SplitTaskPhases(o, nil, true, true); err == nil {
 		t.Fatal("empty members must error")
+	}
+	if _, err := SplitTaskPhases(o, []int{f.T[0], f.T[0]}, true, true); !errors.Is(err, ErrBadMembers) {
+		t.Fatalf("repeated member: err = %v, want ErrBadMembers", err)
 	}
 }
 

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"wolves/internal/bitset"
 	"wolves/internal/soundness"
 )
-
-var errComposite = errors.New("core: empty member set")
 
 // Strong local optimality (Definition 2.6) demands that no subset of
 // result blocks has a sound union. Any sound union U of ≥2 blocks falls
@@ -40,8 +37,8 @@ var errComposite = errors.New("core: empty member set")
 // closure phases; seeded enables the seeded conflict-closure search.
 // With both disabled it degenerates to the weak corrector.
 func SplitTaskPhases(o *soundness.Oracle, members []int, closed, seeded bool) (*Result, error) {
-	if len(members) == 0 {
-		return nil, errComposite
+	if _, err := memberSet(o, members); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	p := newPartitioner(o, members)

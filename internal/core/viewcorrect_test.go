@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestCorrectionKeepsExistingCompositeIDs(t *testing.T) {
 	}
 	o := soundness.NewOracle(wf)
 	for _, crit := range []Criterion{Weak, Strong, Optimal} {
-		vc, err := CorrectView(o, v, crit, nil)
+		vc, err := CorrectViewCtx(context.Background(), o, v, crit, nil, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", crit, err)
 		}
@@ -95,7 +96,7 @@ func TestCorrectViewRefinesInput(t *testing.T) {
 		}
 		o := soundness.NewOracle(wf)
 		for _, crit := range []Criterion{Weak, Strong} {
-			vc, err := CorrectView(o, v, crit, nil)
+			vc, err := CorrectViewCtx(context.Background(), o, v, crit, nil, 0)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", c, crit, err)
 			}

@@ -41,46 +41,31 @@ type CorrectResult struct {
 	Err        *Error
 }
 
-// runBatch claims job indices with an atomic cursor and fans them over
-// min(workers, len(jobs)) goroutines. Once ctx fires, unclaimed jobs
-// complete immediately via onCanceled instead of running.
-func runBatch(ctx context.Context, workers, n int, run func(i int), onCanceled func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil {
-					onCanceled(i)
-					continue
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// FanOut runs n independent jobs over min(workers, n) goroutines with
-// the batch machinery's atomic claim cursor: run(i) executes each job,
-// and once ctx fires the unclaimed remainder completes immediately via
+// FanOut runs n independent jobs over min(workers, n) goroutines that
+// claim job indices with an atomic cursor: run(i) executes each job, and
+// once ctx fires the unclaimed remainder completes immediately via
 // onCanceled(i) instead of running. It is the scheduling core behind
 // ValidateBatch/CorrectBatch, exported so sibling subsystems (the run
 // store's batch lineage endpoint) share one worker-pool behavior.
 func FanOut(ctx context.Context, workers, n int, run func(i int), onCanceled func(i int)) {
-	runBatch(ctx, workers, n, run, onCanceled)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if ctx.Err() != nil {
+				onCanceled(i)
+			} else {
+				run(i)
+			}
+		}
+	}
+	// The calling goroutine is one of the workers.
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
 }
 
 // ValidateBatch validates every job over the engine's worker pool and
@@ -100,11 +85,16 @@ func (e *Engine) ValidateBatchN(ctx context.Context, jobs []ValidateJob, workers
 		workers = e.Workers()
 	}
 	results := make([]ValidateResult, len(jobs))
-	runBatch(ctx, workers, len(jobs),
+	FanOut(ctx, workers, len(jobs),
 		func(i int) {
+			j := jobs[i]
+			if err := checkView("validate", j.Workflow, j.View); err != nil {
+				results[i] = ValidateResult{Err: err}
+				return
+			}
 			// Within a batch each job validates sequentially; the batch
 			// itself is the parallelism.
-			rep, err := e.validateSequential(ctx, jobs[i].Workflow, jobs[i].View)
+			rep, err := e.validate(ctx, e.Oracle(j.Workflow), j.View, 1)
 			if err != nil {
 				results[i] = ValidateResult{Err: wrapErr("validate", err)}
 				return
@@ -115,24 +105,6 @@ func (e *Engine) ValidateBatchN(ctx context.Context, jobs []ValidateJob, workers
 			results[i] = ValidateResult{Err: wrapErr("validate", ctx.Err())}
 		})
 	return results
-}
-
-// validateSequential is Validate without the per-view fan-out (batch
-// workers already occupy the pool).
-func (e *Engine) validateSequential(ctx context.Context, wf *workflow.Workflow, v *view.View) (*soundness.Report, error) {
-	if err := checkView("validate", wf, v); err != nil {
-		return nil, err
-	}
-	return soundness.ValidateViewCtx(ctx, e.Oracle(wf), v)
-}
-
-// correctSequential is CorrectWithOracle with the inner validation
-// pinned to one worker — a batch job must not multiply the configured
-// fan-out cap.
-func (e *Engine) correctSequential(ctx context.Context, j CorrectJob) (*core.ViewCorrection, error) {
-	ctx, cancel := e.optimalCtx(ctx, j.Criterion)
-	defer cancel()
-	return core.CorrectViewWorkersCtx(ctx, e.Oracle(j.Workflow), j.View, j.Criterion, e.corrOptions(j.Options), 1)
 }
 
 // CorrectBatch corrects every job over the engine's worker pool and
@@ -149,14 +121,16 @@ func (e *Engine) CorrectBatchN(ctx context.Context, jobs []CorrectJob, workers i
 		workers = e.Workers()
 	}
 	results := make([]CorrectResult, len(jobs))
-	runBatch(ctx, workers, len(jobs),
+	FanOut(ctx, workers, len(jobs),
 		func(i int) {
 			j := jobs[i]
 			if err := checkView("correct", j.Workflow, j.View); err != nil {
 				results[i] = CorrectResult{Err: err}
 				return
 			}
-			vc, err := e.correctSequential(ctx, j)
+			// As in ValidateBatchN, the job's inner validation runs on
+			// one worker so the batch does not multiply the fan-out cap.
+			vc, err := e.correct(ctx, e.Oracle(j.Workflow), j.View, j.Criterion, j.Options, 1)
 			if err != nil {
 				results[i] = CorrectResult{Err: wrapErr("correct", err)}
 				return

@@ -139,6 +139,12 @@ func (e *Engine) Validate(ctx context.Context, wf *workflow.Workflow, v *view.Vi
 // ValidateWithOracle is Validate against a caller-held oracle (the
 // compatibility path of the deprecated free functions).
 func (e *Engine) ValidateWithOracle(ctx context.Context, o *soundness.Oracle, v *view.View) (*soundness.Report, error) {
+	return e.validate(ctx, o, v, e.workers)
+}
+
+// validate is the body of ValidateWithOracle and of each ValidateBatchN
+// job; they differ only in the fan-out width they pass.
+func (e *Engine) validate(ctx context.Context, o *soundness.Oracle, v *view.View, workers int) (*soundness.Report, error) {
 	if o == nil || v == nil {
 		return nil, errf(ErrBadInput, "validate", "nil oracle or view")
 	}
@@ -146,7 +152,7 @@ func (e *Engine) ValidateWithOracle(ctx context.Context, o *soundness.Oracle, v 
 		return nil, errf(ErrWorkflowMismatch, "validate",
 			"view %q belongs to a different workflow", v.Name())
 	}
-	rep, err := soundness.ValidateViewParallelCtx(ctx, o, v, e.workers)
+	rep, err := soundness.ValidateViewCtx(ctx, o, v, workers)
 	if err != nil {
 		return nil, wrapErr("validate", err)
 	}
@@ -184,12 +190,18 @@ func (e *Engine) Correct(ctx context.Context, wf *workflow.Workflow, v *view.Vie
 // optional per-call options override (nil falls back to the engine's
 // WithCorrectorOptions, then to the package defaults).
 func (e *Engine) CorrectWithOracle(ctx context.Context, o *soundness.Oracle, v *view.View, crit core.Criterion, opts *core.Options) (*core.ViewCorrection, error) {
+	return e.correct(ctx, o, v, crit, opts, e.workers)
+}
+
+// correct is the body of CorrectWithOracle and of each CorrectBatchN
+// job; they differ only in the fan-out width they pass.
+func (e *Engine) correct(ctx context.Context, o *soundness.Oracle, v *view.View, crit core.Criterion, opts *core.Options, workers int) (*core.ViewCorrection, error) {
 	if o == nil || v == nil {
 		return nil, errf(ErrBadInput, "correct", "nil oracle or view")
 	}
 	ctx, cancel := e.optimalCtx(ctx, crit)
 	defer cancel()
-	vc, err := core.CorrectViewWorkersCtx(ctx, o, v, crit, e.corrOptions(opts), e.workers)
+	vc, err := core.CorrectViewCtx(ctx, o, v, crit, e.corrOptions(opts), workers)
 	if err != nil {
 		return nil, wrapErr("correct", err)
 	}
@@ -197,15 +209,12 @@ func (e *Engine) CorrectWithOracle(ctx context.Context, o *soundness.Oracle, v *
 }
 
 // SplitTask splits one composite's member set into sound blocks under
-// crit. Members are workflow task indices, as in core.SplitTask.
+// crit. Members are distinct workflow task indices, as in
+// core.SplitTaskCtx: an empty or repeating set fails with ErrBadInput,
+// an index outside the workflow with ErrUnknownTask.
 func (e *Engine) SplitTask(ctx context.Context, wf *workflow.Workflow, members []int, crit core.Criterion) (*core.Result, error) {
 	if wf == nil {
 		return nil, errf(ErrBadInput, "split", "nil workflow")
-	}
-	for _, m := range members {
-		if m < 0 || m >= wf.N() {
-			return nil, errf(ErrUnknownTask, "split", "task index %d out of range [0,%d)", m, wf.N())
-		}
 	}
 	return e.SplitWithOracle(ctx, e.Oracle(wf), members, crit, nil)
 }

@@ -142,6 +142,50 @@ func TestWithOptimalTimeout(t *testing.T) {
 	}
 }
 
+// TestSplitRejectsBadMembers pins member-set checking at the split
+// entry: a repeated task or an empty set is ErrBadInput and an index
+// outside the workflow is ErrUnknownTask, under every criterion and
+// through both the workflow and the caller-held-oracle entry points.
+func TestSplitRejectsBadMembers(t *testing.T) {
+	e := New()
+	ctx := context.Background()
+	wf, err := workflow.NewBuilder("chain").
+		AddTask("a").AddTask("b").AddTask("c").AddTask("d").
+		Chain("a", "b", "c", "d").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := e.Oracle(wf)
+	for _, crit := range []core.Criterion{core.Weak, core.Strong, core.StrongAudited, core.Optimal} {
+		for _, tc := range []struct {
+			members []int
+			want    Code
+		}{
+			{[]int{0, 2, 2}, ErrBadInput},
+			{[]int{0, 1, 2, 3, 1, 1}, ErrBadInput},
+			{nil, ErrBadInput},
+			{[]int{0, 7}, ErrUnknownTask},
+			{[]int{-1}, ErrUnknownTask},
+		} {
+			if res, err := e.SplitTask(ctx, wf, tc.members, crit); code(err) != tc.want {
+				t.Errorf("%v SplitTask(%v) = (%v, %v), want %s", crit, tc.members, res, err, tc.want)
+			}
+			if res, err := e.SplitWithOracle(ctx, o, tc.members, crit, nil); code(err) != tc.want {
+				t.Errorf("%v SplitWithOracle(%v) = (%v, %v), want %s", crit, tc.members, res, err, tc.want)
+			}
+		}
+		// The same sets without the repeat split as usual.
+		res, err := e.SplitTask(ctx, wf, []int{0, 2}, crit)
+		if err != nil || !reflect.DeepEqual(res.Blocks, [][]int{{0}, {2}}) {
+			t.Errorf("%v SplitTask([0 2]) = (%v, %v), want [[0] [2]]", crit, res, err)
+		}
+		res, err = e.SplitTask(ctx, wf, []int{0, 1, 2, 3}, crit)
+		if err != nil || !reflect.DeepEqual(res.Blocks, [][]int{{0, 1, 2, 3}}) {
+			t.Errorf("%v SplitTask([0 1 2 3]) = (%v, %v), want one block", crit, res, err)
+		}
+	}
+}
+
 // TestErrorCodes exercises the typed-error classification.
 func TestErrorCodes(t *testing.T) {
 	e := New()

@@ -139,6 +139,8 @@ func wrapErr(op string, err error) *Error {
 		code = ErrCanceled
 	case errors.Is(err, core.ErrOptimalLimit):
 		code = ErrOptimalLimit
+	case errors.Is(err, core.ErrBadMembers):
+		code = ErrBadInput
 	case errors.Is(err, dag.ErrCycle):
 		code = ErrCycleRejected
 	case errors.Is(err, workflow.ErrUnknownTask):

@@ -661,7 +661,7 @@ func (lw *LiveWorkflow) attachView(ctx context.Context, vid string, build func(w
 		return nil, 0, errf(ErrWorkflowMismatch, "attach",
 			"view %q was not built against the live workflow", v.Name())
 	}
-	rep, err := soundness.ValidateViewParallelCtx(ctx, lw.oracle, v, lw.reg.eng.Workers())
+	rep, err := soundness.ValidateViewCtx(ctx, lw.oracle, v, lw.reg.eng.Workers())
 	if err != nil {
 		return nil, 0, wrapErr("attach", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -60,6 +61,12 @@ func ByID(id string, fast bool) (*Table, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (e1..e9, a1, a2)", id)
 }
 
+// bg anchors the root context of every experiment: the tables run
+// bounded workloads to completion, and some discard split errors.
+func bg() context.Context {
+	return context.Background() //lint:allow ctxpass experiments run bounded workloads to completion; nothing to cancel
+}
+
 // E1Figure1 reproduces the Figure 1 case study: detection, witness,
 // spurious provenance, correction.
 func E1Figure1() *Table {
@@ -96,7 +103,7 @@ func E1Figure1() *Table {
 	add("false provenance pairs", itoa(audit.FalsePairs))
 	add("provenance precision", f2(audit.Precision))
 
-	vc, err := core.CorrectView(o, v, core.Strong, nil)
+	vc, err := core.CorrectViewCtx(bg(), o, v, core.Strong, nil, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -135,7 +142,7 @@ func E2Figure3() *Table {
 		return strings.Join(parts, " ")
 	}
 	for _, crit := range []core.Criterion{core.Weak, core.Strong, core.Optimal} {
-		res, err := core.SplitTask(o, f.T, crit, nil)
+		res, err := core.SplitTaskCtx(bg(), o, f.T, crit, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -174,9 +181,9 @@ func E3Quality(fast bool) *Table {
 		for _, seed := range seeds {
 			wf, members := gen.UnsoundTask(n, seed)
 			o := soundness.NewOracle(wf)
-			w, _ := core.SplitTask(o, members, core.Weak, nil)
-			s, _ := core.SplitTask(o, members, core.Strong, nil)
-			opt, err := core.SplitTask(o, members, core.Optimal, nil)
+			w, _ := core.SplitTaskCtx(bg(), o, members, core.Weak, nil)
+			s, _ := core.SplitTaskCtx(bg(), o, members, core.Strong, nil)
+			opt, err := core.SplitTaskCtx(bg(), o, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -202,11 +209,11 @@ func E3Quality(fast bool) *Table {
 	for _, k := range bics {
 		wf, members := gen.BicliqueTask(k)
 		o := soundness.NewOracle(wf)
-		w, _ := core.SplitTask(o, members, core.Weak, nil)
-		s, _ := core.SplitTask(o, members, core.Strong, nil)
+		w, _ := core.SplitTaskCtx(bg(), o, members, core.Weak, nil)
+		s, _ := core.SplitTaskCtx(bg(), o, members, core.Strong, nil)
 		optBlocks := 5 // proven by the family's construction; DP confirms up to n=18
 		if len(members) <= 18 {
-			opt, err := core.SplitTask(o, members, core.Optimal, nil)
+			opt, err := core.SplitTaskCtx(bg(), o, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -232,9 +239,9 @@ func E3Quality(fast bool) *Table {
 				if len(members) > 18 {
 					continue
 				}
-				w, _ := core.SplitTask(o, members, core.Weak, nil)
-				s, _ := core.SplitTask(o, members, core.Strong, nil)
-				opt, _ := core.SplitTask(o, members, core.Optimal, nil)
+				w, _ := core.SplitTaskCtx(bg(), o, members, core.Weak, nil)
+				s, _ := core.SplitTaskCtx(bg(), o, members, core.Strong, nil)
+				opt, _ := core.SplitTaskCtx(bg(), o, members, core.Optimal, nil)
 				t.Rows = append(t.Rows, []string{
 					e.Key + "/" + vs.View.Composite(ci).ID, itoa(len(members)),
 					itoa(len(w.Blocks)), itoa(len(s.Blocks)), itoa(len(opt.Blocks)),
@@ -266,10 +273,10 @@ func E4Runtime(fast bool) *Table {
 		wf, members := gen.UnsoundTask(n, 1)
 		o := soundness.NewOracle(wf)
 		var tw, ts, topt time.Duration
-		tw = medianDuration(reps, func() { core.SplitTask(o, members, core.Weak, nil) })
-		ts = medianDuration(reps, func() { core.SplitTask(o, members, core.Strong, nil) })
+		tw = medianDuration(reps, func() { core.SplitTaskCtx(bg(), o, members, core.Weak, nil) })
+		ts = medianDuration(reps, func() { core.SplitTaskCtx(bg(), o, members, core.Strong, nil) })
 		topt = medianDuration(reps, func() {
-			if _, err := core.SplitTask(o, members, core.Optimal, nil); err != nil {
+			if _, err := core.SplitTaskCtx(bg(), o, members, core.Optimal, nil); err != nil {
 				panic(err)
 			}
 		})
@@ -300,11 +307,11 @@ func E5StrongVsWeak(fast bool) *Table {
 		o := soundness.NewOracle(wf)
 		var bw, bs int
 		tw := medianDuration(reps, func() {
-			r, _ := core.SplitTask(o, members, core.Weak, nil)
+			r, _ := core.SplitTaskCtx(bg(), o, members, core.Weak, nil)
 			bw = len(r.Blocks)
 		})
 		ts := medianDuration(reps, func() {
-			r, _ := core.SplitTask(o, members, core.Strong, nil)
+			r, _ := core.SplitTaskCtx(bg(), o, members, core.Strong, nil)
 			bs = len(r.Blocks)
 		})
 		t.Rows = append(t.Rows, []string{
@@ -461,13 +468,13 @@ func E9Estimator(fast bool) *Table {
 				inner++
 			}
 		})
-		opt, err := core.SplitTask(o, members, core.Optimal, nil)
+		opt, err := core.SplitTaskCtx(bg(), o, members, core.Optimal, nil)
 		if err != nil {
 			panic(err)
 		}
 		var out []obs
 		for _, crit := range []core.Criterion{core.Weak, core.Strong} {
-			res, _ := core.SplitTask(o, members, crit, nil)
+			res, _ := core.SplitTaskCtx(bg(), o, members, crit, nil)
 			out = append(out, obs{
 				crit: crit.String(), n: n, edge: inner,
 				dur:     res.Stats.Elapsed,
@@ -553,7 +560,7 @@ func A1Phases(fast bool) *Table {
 	p1, _ := core.SplitTaskPhases(o, f.T, false, false)
 	p2, _ := core.SplitTaskPhases(o, f.T, true, false)
 	p3, _ := core.SplitTaskPhases(o, f.T, true, true)
-	opt, _ := core.SplitTask(o, f.T, core.Optimal, nil)
+	opt, _ := core.SplitTaskCtx(bg(), o, f.T, core.Optimal, nil)
 	t.Rows = append(t.Rows, []string{"fig3", "-",
 		itoa(len(p1.Blocks)), itoa(len(p2.Blocks)), itoa(len(p3.Blocks)), itoa(len(opt.Blocks))})
 	// Scaled biclique instances: the gap grows linearly with k.
@@ -565,7 +572,7 @@ func A1Phases(fast bool) *Table {
 		b3, _ := core.SplitTaskPhases(ob, members, true, true)
 		optB := "5"
 		if len(members) <= 18 {
-			ores, err := core.SplitTask(ob, members, core.Optimal, nil)
+			ores, err := core.SplitTaskCtx(bg(), ob, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -581,7 +588,7 @@ func A1Phases(fast bool) *Table {
 			p1, _ := core.SplitTaskPhases(o, members, false, false)
 			p2, _ := core.SplitTaskPhases(o, members, true, false)
 			p3, _ := core.SplitTaskPhases(o, members, true, true)
-			opt, err := core.SplitTask(o, members, core.Optimal, nil)
+			opt, err := core.SplitTaskCtx(bg(), o, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -608,7 +615,7 @@ func A2MergeVsSplit() *Table {
 			if vs.WantSound {
 				continue
 			}
-			split, err := core.CorrectView(o, vs.View, core.Strong, nil)
+			split, err := core.CorrectViewCtx(bg(), o, vs.View, core.Strong, nil, 0)
 			if err != nil {
 				panic(err)
 			}

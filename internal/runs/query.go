@@ -408,7 +408,7 @@ var witnessPool = sync.Pool{New: func() any { return new(witnessScratch) }}
 // breadth-first backward walk over this run's wasGeneratedBy/used
 // edges, O(edges), with pooled marking scratch.
 func (r *Run) appendWitness(dst []WhyEdge, ai int32) []WhyEdge {
-	ws := witnessPool.Get().(*witnessScratch) //lint:allow poolret Put follows at the end of this function; the early returns are impossible
+	ws := witnessPool.Get().(*witnessScratch) // Put follows at the end of this function; the early returns are impossible
 	if cap(ws.seenArt) < len(r.artID) {
 		ws.seenArt = make([]bool, len(r.artID))
 	}

@@ -108,7 +108,7 @@ func instrument(route string, h http.Handler) http.Handler {
 		if span != nil {
 			r = r.WithContext(ctx)
 		}
-		sr := recorderPool.Get().(*statusRecorder) //lint:allow poolret Put follows below; handlers never retain the wrapper
+		sr := recorderPool.Get().(*statusRecorder) // Put follows below; handlers never retain the wrapper
 		sr.ResponseWriter, sr.status = w, http.StatusOK
 		h.ServeHTTP(sr, r)
 		status := sr.status

@@ -244,7 +244,7 @@ func (s *Server) handleRunLineage(w http.ResponseWriter, r *http.Request) {
 	// encoder: no reflection, no intermediate []byte per response. The
 	// bytes (trailing newline included) are identical to what
 	// writeJSON's json.Encoder would have produced.
-	buf := encodeBufPool.Get().(*[]byte) //lint:allow poolret Put follows after the write below
+	buf := encodeBufPool.Get().(*[]byte) // Put follows after the write below
 	b := ans.AppendJSON((*buf)[:0])
 	ans.Release()
 	b = append(b, '\n')
@@ -277,7 +277,7 @@ func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Stream the batch: answers go through the reusable encoder, the
 	// rare error results through reflection (their shape is tiny).
-	buf := encodeBufPool.Get().(*[]byte) //lint:allow poolret Put follows after the write below
+	buf := encodeBufPool.Get().(*[]byte) // Put follows after the write below
 	b := append((*buf)[:0], `{"results":[`...)
 	for i := range results {
 		if i > 0 {

@@ -1,7 +1,9 @@
 package soundness
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -34,9 +36,11 @@ func requireSameReport(t *testing.T, name string, seq, par *Report) {
 }
 
 // TestValidateViewParallelEquivalence is the table-driven pin of
-// ValidateViewParallel to ValidateView across fixture and generated
-// workloads, at several worker counts including ones that force the
-// worker-pool path.
+// ValidateViewCtx to ValidateView across fixture and generated
+// workloads, on views below and above parallelValidateThreshold, at
+// several worker counts including ones that force the worker-pool path.
+// A pre-canceled context must return (nil, context.Canceled) at every
+// worker count.
 func TestValidateViewParallelEquivalence(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -75,13 +79,30 @@ func TestValidateViewParallelEquivalence(t *testing.T) {
 		)
 	}
 
+	var below, above bool
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, c := range cases {
+		below = below || c.v.N() < parallelValidateThreshold
+		above = above || c.v.N() >= parallelValidateThreshold
 		o := NewOracle(c.wf)
 		seq := ValidateView(o, c.v)
 		for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-			par := ValidateViewParallel(o, c.v, workers)
+			par, err := ValidateViewCtx(context.Background(), o, c.v, workers)
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", c.name, workers, err)
+			}
 			requireSameReport(t, c.name, seq, par)
+			rep, err := ValidateViewCtx(canceled, o, c.v, workers)
+			if rep != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s/workers=%d: canceled ctx returned (%v, %v), want (nil, context.Canceled)",
+					c.name, workers, rep, err)
+			}
 		}
+	}
+	if !below || !above {
+		t.Fatalf("cases must straddle parallelValidateThreshold=%d (below=%v above=%v)",
+			parallelValidateThreshold, below, above)
 	}
 }
 
@@ -128,7 +149,13 @@ func TestValidateViewParallelConcurrentOracle(t *testing.T) {
 	seq := ValidateView(o, v)
 	done := make(chan *Report, 8)
 	for i := 0; i < 8; i++ {
-		go func() { done <- ValidateViewParallel(o, v, 4) }()
+		go func() {
+			rep, err := ValidateViewCtx(context.Background(), o, v, 4)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- rep
+		}()
 	}
 	for i := 0; i < 8; i++ {
 		requireSameReport(t, "concurrent", seq, <-done)

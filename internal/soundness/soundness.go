@@ -269,92 +269,63 @@ func (o *Oracle) checkSameWorkflow(v *view.View) {
 	}
 }
 
-// ValidateView checks every composite of v (Proposition 2.1) and returns
-// a full diagnosis with witnesses.
+// ValidateView checks every composite of v (Proposition 2.1) on the
+// calling goroutine and returns a full diagnosis with witnesses. It
+// cannot fail; ValidateViewCtx is the cancellable, parallel entry point.
 func ValidateView(o *Oracle, v *view.View) *Report {
-	o.checkSameWorkflow(v)
-	n := o.g.N()
-	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
-	composites := make([]CompositeReport, v.N())
-	for ci := 0; ci < v.N(); ci++ {
-		composites[ci] = validateComposite(o, v, ci, sc)
-	}
-	return assembleReport(v, composites)
-}
-
-// ValidateViewCtx is ValidateView with cooperative cancellation: ctx is
-// polled between composites, and a canceled context aborts the scan with
-// ctx's error.
-func ValidateViewCtx(ctx context.Context, o *Oracle, v *view.View) (*Report, error) {
-	o.checkSameWorkflow(v)
-	n := o.g.N()
-	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
-	composites := make([]CompositeReport, v.N())
-	for ci := 0; ci < v.N(); ci++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		composites[ci] = validateComposite(o, v, ci, sc)
-	}
-	return assembleReport(v, composites), nil
-}
-
-// parallelValidateThreshold is the composite count below which
-// ValidateViewParallel stays sequential: worker fan-out costs more than
-// it saves on small views.
-const parallelValidateThreshold = 8
-
-// ValidateViewParallel is ValidateView with composites fanned out over a
-// pool of workers (runtime.GOMAXPROCS when workers <= 0). The report is
-// identical to the sequential one: composites are validated
-// independently and reassembled in index order.
-//
-// Deprecated: use ValidateViewParallelCtx so callers can cancel.
-func ValidateViewParallel(o *Oracle, v *view.View, workers int) *Report {
-	rep, err := ValidateViewParallelCtx(context.Background(), o, v, workers) //lint:allow ctxpass compat wrapper anchors its own root
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic("soundness: background validation canceled: " + err.Error())
-	}
+	rep, _ := validate(o, v, 1, func() error { return nil })
 	return rep
 }
 
-// ValidateViewParallelCtx is ValidateViewParallel with cooperative
-// cancellation: every worker polls ctx before claiming the next
-// composite, so a canceled context drains the pool early and the call
-// returns ctx's error instead of a partial report.
-func ValidateViewParallelCtx(ctx context.Context, o *Oracle, v *view.View, workers int) (*Report, error) {
+// ValidateViewCtx is ValidateView with composites fanned out over a pool
+// of workers (runtime.GOMAXPROCS when workers <= 0; 1 runs on the
+// calling goroutine) and cooperative cancellation: ctx is polled before
+// each composite is claimed, and a canceled context returns ctx's error
+// instead of a partial report. The report is identical to ValidateView's:
+// composites are validated independently and reassembled in index order.
+func ValidateViewCtx(ctx context.Context, o *Oracle, v *view.View, workers int) (*Report, error) {
+	return validate(o, v, workers, ctx.Err)
+}
+
+// parallelValidateThreshold is the composite count below which
+// validation stays sequential: worker fan-out costs more than it saves
+// on small views.
+const parallelValidateThreshold = 8
+
+// validate is the one validation loop behind ValidateView and
+// ValidateViewCtx. Each worker claims composite indices from a shared
+// cursor until the view is exhausted or stop reports an error.
+func validate(o *Oracle, v *view.View, workers int, stop func() error) (*Report, error) {
 	o.checkSameWorkflow(v)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	k := v.N()
-	if workers > k {
-		workers = k
-	}
-	if workers < 2 || k < parallelValidateThreshold {
-		return ValidateViewCtx(ctx, o, v)
+	if k < parallelValidateThreshold {
+		workers = 1
 	}
 	n := o.g.N()
 	composites := make([]CompositeReport, k)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
-			for ctx.Err() == nil {
-				ci := int(next.Add(1)) - 1
-				if ci >= k {
-					return
-				}
-				composites[ci] = validateComposite(o, v, ci, sc)
+	work := func() {
+		sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
+		for stop() == nil {
+			ci := int(next.Add(1)) - 1
+			if ci >= k {
+				return
 			}
-		}()
+			composites[ci] = validateComposite(o, v, ci, sc)
+		}
 	}
+	// The calling goroutine is one of the workers.
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, k); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := stop(); err != nil {
 		return nil, err
 	}
 	return assembleReport(v, composites), nil

@@ -326,7 +326,9 @@ func Validate(o *Oracle, v *View) *Report {
 //
 // Deprecated: use Engine.Validate with WithWorkers.
 func ValidateParallel(o *Oracle, v *View, workers int) *Report {
-	return soundness.ValidateViewParallel(o, v, workers)
+	// The background context never cancels, so the error is always nil.
+	rep, _ := soundness.ValidateViewCtx(context.Background(), o, v, workers) //lint:allow ctxpass deprecated compat wrapper anchors its own root
+	return rep
 }
 
 // ValidatePaths applies Definition 2.1 literally at the view level.
