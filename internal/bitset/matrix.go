@@ -114,6 +114,17 @@ func (m *Matrix) CloseRow(u int, srcs []int32) {
 	}
 }
 
+// OrRowInto sets dst |= row r word-by-word; dst needs at least
+// ceil(Bits()/64) words.
+func (m *Matrix) OrRowInto(dst []uint64, r int) {
+	m.checkRow(r)
+	src := m.row(r)
+	dst = dst[:len(src)]
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
+
 // OrRowSet sets row r |= s for an external set of matching capacity.
 func (m *Matrix) OrRowSet(r int, s *Set) {
 	m.checkRow(r)
@@ -138,60 +149,4 @@ func (m *Matrix) RowCount(r int) int {
 	m.checkRow(r)
 	v := m.RowView(r)
 	return v.Count()
-}
-
-// Equal reports whether m and o have identical dimensions and identical
-// bits. Because bits beyond a row's capacity are always zero, word-level
-// comparison is exact; the incremental-closure equivalence tests rely on
-// this being a byte-identity check against a from-scratch matrix.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.bits != o.bits {
-		return false
-	}
-	for i, w := range m.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{
-		words:  make([]uint64, len(m.words)),
-		rows:   m.rows,
-		bits:   m.bits,
-		stride: m.stride,
-	}
-	copy(c.words, m.words)
-	return c
-}
-
-// Embed copies every row of src into the same row of m, bit-aligned at
-// zero. m must be at least as large as src in both dimensions; rows and
-// bit positions beyond src keep whatever m already holds (zero for a
-// fresh matrix) — including destination bits sharing src's final partial
-// word. This is the grow path of the incremental closure: widen the
-// matrix without touching existing reachability bits.
-func (m *Matrix) Embed(src *Matrix) {
-	if src.rows > m.rows || src.bits > m.bits {
-		panic(fmt.Sprintf("bitset: cannot embed %dx%d matrix into %dx%d",
-			src.rows, src.bits, m.rows, m.bits))
-	}
-	if src.stride == 0 {
-		return
-	}
-	last := src.stride - 1
-	// Bits of the final word beyond src.bits: preserved in m, always
-	// zero in src rows.
-	var tail uint64
-	if src.bits%wordBits != 0 {
-		tail = ^((uint64(1) << (uint(src.bits) % wordBits)) - 1)
-	}
-	for r := 0; r < src.rows; r++ {
-		d, s := m.row(r), src.row(r)
-		copy(d[:last], s[:last])
-		d[last] = (d[last] & tail) | s[last]
-	}
 }

@@ -148,58 +148,15 @@ func TestForEachNotIn(t *testing.T) {
 	}
 }
 
-func TestMatrixEqualCloneEmbed(t *testing.T) {
-	m := NewMatrix(3, 70)
-	m.SetBit(0, 0)
+// TestMatrixOrRowInto pins the mark-buffer union behind Closure.MarkRow:
+// row bits are ORed in place, bits already in dst survive.
+func TestMatrixOrRowInto(t *testing.T) {
+	m := NewMatrix(2, 70)
+	m.SetBit(1, 3)
 	m.SetBit(1, 69)
-	m.SetBit(2, 64)
-
-	c := m.Clone()
-	if !m.Equal(c) {
-		t.Fatal("clone not equal to original")
+	dst := []uint64{1 << 7, 0}
+	m.OrRowInto(dst, 1)
+	if dst[0] != 1<<7|1<<3 || dst[1] != 1<<(69-64) {
+		t.Fatalf("OrRowInto = %#x, want [%#x %#x]", dst, uint64(1<<7|1<<3), uint64(1<<5))
 	}
-	c.SetBit(0, 5)
-	if m.Equal(c) {
-		t.Fatal("mutated clone still equal (storage shared?)")
-	}
-	if m.Equal(NewMatrix(3, 71)) || m.Equal(NewMatrix(4, 70)) {
-		t.Fatal("dimension mismatch reported equal")
-	}
-
-	// Embed into a strictly larger matrix: all bits land at the same
-	// (row, bit) coordinates, the extra area stays zero — including
-	// destination bits inside src's final partial word (bit 100 lives in
-	// the word src's 70 bits end in).
-	big := NewMatrix(5, 130)
-	big.SetBit(0, 100)
-	big.Embed(m)
-	if !big.TestBit(0, 100) {
-		t.Fatal("embed cleared a destination bit beyond src's capacity")
-	}
-	big.words[1] &^= 1 << (100 - 64) // clear it again for the zero sweep below
-	for r := 0; r < 3; r++ {
-		for i := 0; i < 70; i++ {
-			if big.TestBit(r, i) != m.TestBit(r, i) {
-				t.Fatalf("bit (%d,%d) lost in embed", r, i)
-			}
-		}
-	}
-	for r := 0; r < 5; r++ {
-		lo := 0
-		if r < 3 {
-			lo = 70
-		}
-		for i := lo; i < 130; i++ {
-			if big.TestBit(r, i) {
-				t.Fatalf("embed set spurious bit (%d,%d)", r, i)
-			}
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("embedding a larger matrix into a smaller one must panic")
-		}
-	}()
-	m.Embed(big)
 }

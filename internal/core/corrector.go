@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"wolves/internal/bitset"
+	"wolves/internal/dag"
 	"wolves/internal/soundness"
 	"wolves/internal/workflow"
 )
@@ -263,6 +264,7 @@ type partitioner struct {
 	aliveN    int
 	stats     Stats
 	scratch   *bitset.Set
+	mark      []uint64 // seededPhase's Reach.MarkRow buffer (see strong.go)
 	// Reusable scratch state for the merge phases (see strong.go). The
 	// block-id space is fixed at len(members): merges only retire ids.
 	idMark     *bitset.Set // block-id marks: closedPhase union, growSeed union ids
@@ -295,6 +297,7 @@ func newPartitioner(o *soundness.Oracle, members []int) *partitioner {
 		memberSet: bitset.New(n),
 		blockOf:   make([]int, n),
 		scratch:   bitset.New(n),
+		mark:      make([]uint64, dag.MarkWords(n)),
 		unionSet:  bitset.New(n),
 		idMark:    bitset.New(len(members)),
 		idSeen:    bitset.New(len(members)),

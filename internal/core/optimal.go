@@ -60,9 +60,8 @@ func optimalSplit(ctx context.Context, o *soundness.Oracle, members []int, limit
 				extOut[i] = true
 			}
 		}
-		row := reach.Row(t)
 		for j, u := range local {
-			if row.Test(u) {
+			if reach.Reaches(t, u) {
 				reachM[i] |= 1 << j
 			}
 		}

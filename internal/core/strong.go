@@ -195,15 +195,17 @@ const (
 func (p *partitioner) seededPhase() bool {
 	changed := false
 	ins, outs := p.interfaceNodes()
+	reach := p.o.Reach()
 	// growSeed shares no buffers with ins/outs (insBuf/outsBuf), so the
 	// seed scan stays valid across merges inside the loop.
 	for _, s := range ins {
 		if p.canceled() {
 			return changed
 		}
-		row := p.o.Reach().Row(s)
+		clear(p.mark)
+		reach.MarkRow(p.mark, s)
 		for _, t := range outs {
-			if p.blockOf[s] == p.blockOf[t] || !row.Test(t) {
+			if p.blockOf[s] == p.blockOf[t] || !reach.Marked(p.mark, t) {
 				continue
 			}
 			for _, bias := range []closureBias{biasCloseIn, biasCloseOut} {
@@ -366,13 +368,8 @@ func (p *partitioner) growSeed(s, t int, bias closureBias) ([]int, bool) {
 		p.inBuf, p.outBuf = in[:0], out[:0]
 		// Locate the first violation (allocation-free scan).
 		var vu, vv = -1, -1
-		outMask := p.scratch
-		outMask.Reset()
-		for _, o := range out {
-			outMask.Set(o)
-		}
 		for _, x := range in {
-			if y := outMask.FirstNotIn(reach.Row(x)); y != -1 {
+			if y := soundness.FirstUnreached(reach, x, out); y != -1 {
 				vu, vv = x, y
 				break
 			}

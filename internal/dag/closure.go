@@ -54,21 +54,6 @@ func (g *Graph) Reachability() *Closure {
 	return g.ReachabilityBFS()
 }
 
-// Matrix returns the flat reachability matrix backing the closure.
-func (c *Closure) Matrix() *bitset.Matrix { return c.m }
-
-// Clone returns an independent deep copy of the closure. Snapshots of a
-// live (incrementally maintained) closure hand out clones so later
-// mutations never reach published state.
-func (c *Closure) Clone() *Closure {
-	n := len(c.views)
-	cp := &Closure{m: c.m.Clone(), views: make([]bitset.Set, n)}
-	for u := 0; u < n; u++ {
-		cp.views[u] = cp.m.RowView(u)
-	}
-	return cp
-}
-
 func (g *Graph) reachabilityDP(order []int) *Closure {
 	c := newClosure(g.n)
 	workers := closureWorkers(g.n)
@@ -177,6 +162,14 @@ func (g *Graph) bfsRange(c *Closure, lo, hi int, queue []int) {
 
 // Reaches reports whether u reaches v (reflexively: Reaches(u,u) = true).
 func (c *Closure) Reaches(u, v int) bool { return c.m.TestBit(u, v) }
+
+// MarkRow ORs u's reachability row into mark (node-indexed, at least
+// MarkWords(N()) words, zeroed by the caller); Marked(mark, v) then
+// answers Reaches(u, v). Same contract as Labels.MarkRow.
+func (c *Closure) MarkRow(mark []uint64, u int) { c.m.OrRowInto(mark, u) }
+
+// Marked reports whether v was set in mark by a MarkRow.
+func (c *Closure) Marked(mark []uint64, v int) bool { return mark[v>>6]&(1<<(uint(v)&63)) != 0 }
 
 // Row returns the reachability row of u as a view over the flat matrix.
 // Shared storage; do not mutate.

@@ -114,7 +114,7 @@ func (g *Graph) addEdgeUnchecked(u, v int) {
 
 // AddNodes appends k isolated nodes and returns the index of the first
 // new node. It is the node-growth half of live workflow mutation; the
-// IncrementalClosure grows its matrices in step via Grow.
+// IncrementalClosure grows its label indexes in step via Grow.
 func (g *Graph) AddNodes(k int) int {
 	if k < 0 {
 		panic("dag: negative node count")

@@ -305,6 +305,14 @@ func (l *Labels) Reaches(u, v int) bool {
 // in dense mode) and the position→node table, never a closure row.
 func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 	start := len(dst)
+	dst = l.appendReachable(dst, u)
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// appendReachable is AppendReachable in postorder-position order, for
+// callers that only need the set (IncrementalClosure.AddEdge).
+func (l *Labels) appendReachable(dst []int32, u int) []int32 {
 	if l.bits != nil {
 		for i, x := range l.bits[u] {
 			for ; x != 0; x &= x - 1 {
@@ -318,7 +326,6 @@ func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 			dst = append(dst, l.byPosNodes[lo:hi]...)
 		}
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 

@@ -103,14 +103,14 @@ func (c *oracleCache) oracleFor(e *cacheEntry) *soundness.Oracle {
 
 // seed pre-populates the oracle of wf's cache entry with build's result,
 // unless one is already present. The registry seeds snapshots of live
-// workflows this way: the snapshot's oracle is a copy of the live,
-// incrementally maintained closure, so stateless Engine calls against
+// workflows this way: the snapshot's oracle reads a fork of the live,
+// incrementally maintained labels, so stateless Engine calls against
 // the snapshot never pay a closure construction. Seeding does not count
 // as a Build (no closure DP ran).
 func (c *oracleCache) seed(wf *workflow.Workflow, build func() *soundness.Oracle) {
 	if c.capacity <= 0 {
 		// Caching disabled: the entry would be thrown away, so do not pay
-		// for the closure copy either.
+		// for the label fork either.
 		return
 	}
 	e := c.get(wf)

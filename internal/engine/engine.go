@@ -15,7 +15,7 @@
 //
 // Beside the stateless pipeline sits the live workflow Registry
 // (registry.go): named, versioned workflows mutated in place, whose
-// reachability closures are maintained incrementally and whose attached
+// reachability labels are maintained incrementally and whose attached
 // views are revalidated over dirty composites only — see the registry
 // documentation for versioning, concurrency and eviction semantics.
 package engine

@@ -274,7 +274,9 @@ type LabelStats struct {
 	ViewBuilds int64 `json:"view_builds"`
 	// Intervals / MemoryBytes cover every resident index, task-level
 	// and view-level (Intervals counts interval rows only; dense-mode
-	// bitmap rows show up in MemoryBytes).
+	// bitmap rows show up in MemoryBytes). The task-level label pair is
+	// the only task-level reachability a live workflow holds, so
+	// MemoryBytes is the registry's whole reachability footprint.
 	Intervals   int64 `json:"intervals"`
 	MemoryBytes int64 `json:"memory_bytes"`
 }

@@ -21,7 +21,7 @@ import (
 // This file implements the live workflow registry: the stateful
 // counterpart of the Engine's stateless request pipeline. A client
 // registers a workflow once, attaches views, and from then on pays only
-// deltas — each mutation batch updates the reachability closure
+// deltas — each mutation batch updates the reachability labels
 // incrementally (dag.IncrementalClosure), dirty-marks exactly the
 // composites whose member adjacency or reachability rows changed, and
 // revalidates only those (soundness.Revalidate), keeping every attached
@@ -66,7 +66,7 @@ import (
 // it: initial view validation fans composites over the Engine's worker
 // pool, corrections run through CorrectWithOracle (inheriting corrector
 // options and the Optimal timeout), and Snapshot seeds the Engine's
-// fingerprint-keyed oracle cache with a copy of the live closure, so
+// fingerprint-keyed oracle cache with a fork of the live labels, so
 // stateless Validate/Correct calls against a snapshot skip the closure
 // build entirely.
 
@@ -142,7 +142,7 @@ func NewRegistry(eng *Engine, opts ...RegistryOption) *Registry {
 }
 
 // LiveWorkflow is one named, versioned, mutable workflow owned by a
-// Registry, together with its incrementally maintained closure, oracle,
+// Registry, together with its incrementally maintained labels, oracle,
 // attached views and published read epoch. Obtain one with
 // Registry.Register or Registry.Get; all methods are safe for
 // concurrent use.
@@ -305,8 +305,10 @@ func (r *Registry) register(ctx context.Context, id string, wf *workflow.Workflo
 		wf:      wf,
 		ic:      ic,
 		views:   make(map[string]*liveView),
+		// The live oracle reads the labels through ic, so growth, budget
+		// rebuilds and rollbacks never re-point it.
+		oracle: soundness.NewOracleWithReach(wf, ic.Graph(), ic),
 	}
-	lw.repoint()
 	lw.publishEpochLocked()
 
 	lw.mu.Lock()
@@ -517,14 +519,6 @@ func (lw *LiveWorkflow) close() {
 	lw.seedMu.Unlock()
 }
 
-// repoint rebuilds the oracle over the current closure objects.
-// Called whenever ic's matrices are replaced (registration, task growth,
-// rollback); edge-only mutations update the matrices in place and need
-// no repoint. Callers hold the write lock (or own lw exclusively).
-func (lw *LiveWorkflow) repoint() {
-	lw.oracle = soundness.NewOracleWithClosure(lw.wf, lw.ic.Graph(), lw.ic.Fwd())
-}
-
 // errClosed is the shared guard for operations on dead handles.
 func (lw *LiveWorkflow) errClosed(op string) *Error {
 	return errf(ErrUnknownWorkflow, op, "live workflow %q was deleted, replaced or evicted", lw.id)
@@ -564,8 +558,8 @@ func (lw *LiveWorkflow) infoLocked() WorkflowInfo {
 
 // Snapshot returns an immutable deep copy of the live workflow at its
 // current version. The snapshot's entry in the Engine's oracle cache is
-// seeded with a copy of the live closure, so stateless Engine calls on
-// the snapshot skip the closure rebuild.
+// seeded with a fork of the live labels, so stateless Engine calls on
+// the snapshot skip the closure build.
 func (lw *LiveWorkflow) Snapshot() (*workflow.Workflow, uint64, error) {
 	lw.mu.RLock()
 	defer lw.mu.RUnlock()
@@ -576,14 +570,15 @@ func (lw *LiveWorkflow) Snapshot() (*workflow.Workflow, uint64, error) {
 }
 
 // snapshotLocked clones and cache-seeds under a held read lock. The
-// closure matrix is copied only when the fingerprint's cache entry has
-// no oracle yet (first snapshot per version); the seed callback runs
-// synchronously, so the copy still happens under this lock.
+// labels are forked (O(n) row headers, no row copies) only when the
+// fingerprint's cache entry has no oracle yet (first snapshot per
+// version); the seed callback runs synchronously, so the fork still
+// happens under this lock.
 func (lw *LiveWorkflow) snapshotLocked() *workflow.Workflow {
 	snap := lw.wf.Clone()
-	reach := lw.ic.Fwd()
+	labels := lw.ic.Labels()
 	lw.reg.eng.cache.seed(snap, func() *soundness.Oracle {
-		return soundness.NewOracleWithClosure(snap, snap.Graph(), reach.Clone())
+		return soundness.NewOracleWithReach(snap, snap.Graph(), labels.Fork())
 	})
 	// Remember the fingerprint so close() can purge the seeded entry.
 	lw.seedMu.Lock()
@@ -760,10 +755,10 @@ func (lw *LiveWorkflow) Correct(ctx context.Context, vid string, crit core.Crite
 
 // Mutate applies a batch of task and edge additions atomically: the
 // whole batch is validated up front (IDs, duplicates, composite-ID
-// collisions), edges are inserted one at a time with an O(1) cycle check
-// against the live closure, and a mid-batch cycle rolls every prior
+// collisions), edges are inserted one at a time with a single label
+// probe as the cycle check, and a mid-batch cycle rolls every prior
 // insertion back before returning ErrCycleRejected. On success the
-// closure has been updated incrementally, every attached view has been
+// labels have been patched incrementally, every attached view has been
 // extended (new tasks become singleton composites) and revalidated over
 // exactly its dirty composites, and the version has been bumped — unless
 // the batch turned out to be a structural no-op (only duplicate edges),
@@ -851,7 +846,6 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 			return nil, errf(ErrInternal, "mutate", "task extension failed past preflight: %v", err)
 		}
 		lw.ic.Grow(len(m.Tasks))
-		lw.repoint()
 	}
 	dirty := bitset.New(lw.wf.N())
 	applied := make([][2]int, 0, len(edgeIdx))
@@ -860,10 +854,9 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 		ok, err := lw.ic.AddEdge(e[0], e[1], dirty)
 		if err != nil {
 			// Roll the whole batch back: pop applied edges, shrink the
-			// graph and task list, rebuild the closures, repoint.
+			// graph and task list, rebuild the labels.
 			lw.ic.Rollback(n0, applied)
 			lw.wf.TruncateTasks(n0)
-			lw.repoint()
 			if errors.Is(err, dag.ErrCycle) {
 				return nil, errf(ErrCycleRejected, "mutate",
 					"edge %q→%q would create a dependency cycle; batch rolled back",

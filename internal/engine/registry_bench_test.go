@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wolves/internal/gen"
@@ -119,5 +120,61 @@ func BenchmarkMutateRebuild(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// footprintWorkloads are the registered workflows whose reachability
+// footprint BenchmarkRegisterFootprint pins: a dense and a sparse
+// layered workflow at n=4096 and n=16384. The dense pair is the
+// BenchmarkMutate* configuration (≈640k and ≈10.3M edges); the sparse
+// pair has ≈7.6k and ≈92k edges.
+var footprintWorkloads = []struct {
+	name string
+	cfg  gen.LayeredConfig
+}{
+	{"n=4096/dense", gen.LayeredConfig{Tasks: 4096, Layers: 12, EdgeProb: 0.25, SkipProb: 0.05, Seed: 4096}},
+	{"n=4096/sparse", gen.LayeredConfig{Tasks: 4096, Layers: 128, EdgeProb: 0.045, SkipProb: 0.0001, Seed: 4096}},
+	{"n=16384/sparse", gen.LayeredConfig{Tasks: 16384, Layers: 512, EdgeProb: 0.07, SkipProb: 0.0004, Seed: 16384}},
+	{"n=16384/dense", gen.LayeredConfig{Tasks: 16384, Layers: 12, EdgeProb: 0.25, SkipProb: 0.05, Seed: 16384}},
+}
+
+// BenchmarkRegisterFootprint registers each footprint workload into an
+// empty registry and reports what the live workflow holds for
+// reachability: reach-bytes is LabelStats.MemoryBytes (the task-level
+// label pair, the only task-level reachability a live workflow keeps),
+// heap-inuse-delta the in-use heap growth across Register after a GC on
+// both sides (reachability plus the read epoch and registry entry; the
+// workflow itself is allocated before the first reading). Run with
+// -benchtime=1x: the n=16384 dense workflow has ≈10.3M edges.
+func BenchmarkRegisterFootprint(b *testing.B) {
+	for _, w := range footprintWorkloads {
+		b.Run(w.name, func(b *testing.B) {
+			cfg := w.cfg
+			cfg.Name = "footprint"
+			base := gen.Layered(cfg)
+			b.ReportAllocs()
+			var reach, delta float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				wf := base.Clone()
+				reg := NewRegistry(New())
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				if _, err := reg.Register("footprint", wf); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				reach = float64(reg.LabelStats().MemoryBytes)
+				delta = float64(after.HeapInuse) - float64(before.HeapInuse)
+				runtime.KeepAlive(reg)
+				b.StartTimer()
+			}
+			b.ReportMetric(reach, "reach-bytes")
+			b.ReportMetric(delta, "heap-inuse-delta")
+		})
 	}
 }

@@ -25,12 +25,13 @@ type Engine struct {
 	wf  *workflow.Workflow
 	fwd *dag.Closure // forward reachability: Row(u) = descendants of u
 
-	ancOnce sync.Once     // guards the one-time construction of anc
-	anc     []*bitset.Set // ancestors of u, built by transposing fwd
+	ancOnce sync.Once    // guards the one-time construction of anc
+	anc     *dag.Closure // reverse reachability: Row(v) = ancestors of v
 }
 
 // NewEngine builds the workflow-level lineage engine, computing the
-// forward closure; ancestor rows are transposed lazily on first use.
+// forward closure; the ancestor rows (the closure of the reversed graph)
+// are built on first use.
 func NewEngine(wf *workflow.Workflow) *Engine {
 	return &Engine{wf: wf, fwd: wf.Graph().Reachability()}
 }
@@ -38,21 +39,8 @@ func NewEngine(wf *workflow.Workflow) *Engine {
 // Workflow returns the engine's workflow.
 func (e *Engine) Workflow() *workflow.Workflow { return e.wf }
 
-func (e *Engine) ancestors() []*bitset.Set {
-	e.ancOnce.Do(func() {
-		n := e.fwd.N()
-		e.anc = make([]*bitset.Set, n)
-		for v := 0; v < n; v++ {
-			e.anc[v] = bitset.New(n)
-		}
-		for u := 0; u < n; u++ {
-			row := e.fwd.Row(u)
-			row.ForEach(func(v int) bool {
-				e.anc[v].Set(u)
-				return true
-			})
-		}
-	})
+func (e *Engine) ancestors() *dag.Closure {
+	e.ancOnce.Do(func() { e.anc = e.wf.Graph().Reversed().Reachability() })
 	return e.anc
 }
 
@@ -60,14 +48,14 @@ func (e *Engine) ancestors() []*bitset.Set {
 // with a path t'→t, ascending. This is the paper's "sequence of steps
 // used to produce the data" at task granularity.
 func (e *Engine) Lineage(t int) []int {
-	anc := e.ancestors()[t].Clone()
+	anc := e.ancestors().Row(t).Clone()
 	anc.Clear(t)
 	return anc.Members()
 }
 
 // LineageSet returns the ancestor set of t including t itself. The set
 // is shared with the engine; do not mutate.
-func (e *Engine) LineageSet(t int) *bitset.Set { return e.ancestors()[t] }
+func (e *Engine) LineageSet(t int) *bitset.Set { return e.ancestors().Row(t) }
 
 // DescendantSet returns the closure row of t — every task reachable
 // from t, including t itself. Shared with the engine; do not mutate.

@@ -245,7 +245,7 @@ func randomView(rng *rand.Rand, wf *workflow.Workflow) *view.View {
 	return v
 }
 
-// TestAncestorsConcurrentBuild hammers the lazy ancestor-transpose build
+// TestAncestorsConcurrentBuild hammers the lazy ancestor-row build
 // from many goroutines; under -race this pins the sync.Once guard that
 // makes a cached lineage engine safe for concurrent first use.
 func TestAncestorsConcurrentBuild(t *testing.T) {

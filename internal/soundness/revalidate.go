@@ -37,7 +37,7 @@ type Delta struct {
 func Revalidate(o *Oracle, v *view.View, dirty []int) *Delta {
 	o.checkSameWorkflow(v)
 	n := o.g.N()
-	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
+	sc := &validatorScratch{members: bitset.New(n)}
 	d := &Delta{View: v.Name(), Composites: make([]CompositeReport, 0, len(dirty))}
 	for _, ci := range dirty {
 		d.Composites = append(d.Composites, validateComposite(o, v, ci, sc))

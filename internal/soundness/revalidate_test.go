@@ -31,21 +31,21 @@ func TestRevalidateMutationEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := NewOracleWithClosure(wf, ic.Graph(), ic.Fwd())
+		// The live registry's oracle: labels read through ic, scratch
+		// sized per call, so it follows growth without being rebuilt.
+		oracle := NewOracleWithReach(wf, ic.Graph(), ic)
 		rep := ValidateView(oracle, v)
 
 		for step := 0; step < 60; step++ {
 			oldK := v.N()
 			if rng.Intn(12) == 0 {
-				// Task addition: grow the workflow, the closure, and the
-				// view (new singleton composites), then repoint the oracle
-				// at the replaced closure.
+				// Task addition: grow the workflow, the labels, and the
+				// view (new singleton composites).
 				id := fmt.Sprintf("new-%d-%d", round, step)
 				if _, err := wf.ExtendTasks([]workflow.Task{{ID: id}}); err != nil {
 					t.Fatal(err)
 				}
 				ic.Grow(1)
-				oracle = NewOracleWithClosure(wf, ic.Graph(), ic.Fwd())
 				nv, err := v.ExtendSingletons()
 				if err != nil {
 					t.Fatal(err)

@@ -28,14 +28,30 @@ type Violation struct {
 	To   int // workflow task index in T.out
 }
 
-// Oracle answers set-soundness queries against one workflow, reusing a
-// precomputed reachability closure. It is safe for concurrent readers:
-// per-call scratch state lives in a sync.Pool, and the instrumentation
-// counter is atomic.
+// Reach is the task-level reachability an Oracle reads: a membership
+// probe plus a row mark for batches of probes against one source.
+// *dag.Closure implements it over node-indexed bit rows, *dag.Labels
+// over interval covers, and *dag.IncrementalClosure through its current
+// forward labels.
+type Reach interface {
+	// Reaches reports whether u reaches v, reflexively.
+	Reaches(u, v int) bool
+	// MarkRow sets u's reachable set in mark, a zeroed buffer of
+	// dag.MarkWords(n) words for an n-task workflow.
+	MarkRow(mark []uint64, u int)
+	// Marked reports whether v was set in mark by a MarkRow: after
+	// MarkRow(mark, u) it answers Reaches(u, v).
+	Marked(mark []uint64, v int) bool
+}
+
+// Oracle answers set-soundness queries against one workflow, reusing
+// precomputed reachability. It is safe for concurrent readers: per-call
+// scratch state lives in a sync.Pool, and the instrumentation counter is
+// atomic.
 type Oracle struct {
 	wf    *workflow.Workflow
 	g     *dag.Graph
-	reach *dag.Closure
+	reach Reach
 	// checks counts SetSound invocations (experiment instrumentation).
 	checks atomic.Int64
 	// scratch pools the per-call buffers of SetSound/InOut so the steady
@@ -46,36 +62,44 @@ type Oracle struct {
 // oracleScratch is the reusable per-call state of a soundness query.
 type oracleScratch struct {
 	in, out []int
-	outMask *bitset.Set
 }
 
 // NewOracle builds an oracle for wf, computing the reachability closure.
 func NewOracle(wf *workflow.Workflow) *Oracle {
-	return NewOracleWithClosure(wf, wf.Graph(), wf.Graph().Reachability())
+	return NewOracleWithReach(wf, wf.Graph(), wf.Graph().Reachability())
 }
 
-// NewOracleWithClosure builds an oracle over a caller-supplied graph and
-// reachability closure, skipping the closure computation of NewOracle.
-// The engine registry points a long-lived oracle at an incrementally
-// maintained closure this way: the closure's matrix is updated in place
-// as mutations arrive, so the oracle answers against current state
-// without ever rebuilding. The caller guarantees that g is wf's
-// dependency graph, that reach is (and stays) its reflexive-transitive
-// closure, and that mutations are serialized against oracle readers.
-func NewOracleWithClosure(wf *workflow.Workflow, g *dag.Graph, reach *dag.Closure) *Oracle {
+// NewOracleWithReach builds an oracle over a caller-supplied graph and
+// reachability, skipping the closure computation of NewOracle. The
+// engine registry hands its live workflow's IncrementalClosure in this
+// way: it answers from labels patched as mutations arrive, and the
+// oracle keeps no buffer sized by the task count, so one oracle serves
+// the workflow across growth and rebuilds. The caller guarantees that g is
+// wf's dependency graph, that reach is (and stays) its reachability, and
+// that mutations are serialized against oracle readers.
+func NewOracleWithReach(wf *workflow.Workflow, g *dag.Graph, reach Reach) *Oracle {
 	o := &Oracle{wf: wf, g: g, reach: reach}
-	n := g.N()
-	o.scratch.New = func() any {
-		return &oracleScratch{outMask: bitset.New(n)}
-	}
+	o.scratch.New = func() any { return new(oracleScratch) }
 	return o
+}
+
+// FirstUnreached returns the first t of outs (in order) that u does not
+// reach, or -1. It probes pair by pair: out-sets are small next to the
+// workflow, so this beats clearing and marking a whole row.
+func FirstUnreached(r Reach, u int, outs []int) int {
+	for _, t := range outs {
+		if !r.Reaches(u, t) {
+			return t
+		}
+	}
+	return -1
 }
 
 // Workflow returns the underlying workflow.
 func (o *Oracle) Workflow() *workflow.Workflow { return o.wf }
 
-// Reach returns the workflow reachability closure.
-func (o *Oracle) Reach() *dag.Closure { return o.reach }
+// Reach returns the workflow reachability the oracle reads.
+func (o *Oracle) Reach() Reach { return o.reach }
 
 // Checks returns the number of SetSound calls served so far.
 func (o *Oracle) Checks() int { return int(o.checks.Load()) }
@@ -139,13 +163,8 @@ func (o *Oracle) setSound(members *bitset.Set) (int, int) {
 	if len(sc.in) == 0 || len(sc.out) == 0 {
 		return -1, -1
 	}
-	outMask := sc.outMask
-	outMask.Reset()
-	for _, t := range sc.out {
-		outMask.Set(t)
-	}
 	for _, u := range sc.in {
-		if missing := outMask.FirstNotIn(o.reach.Row(u)); missing != -1 {
+		if missing := FirstUnreached(o.reach, u, sc.out); missing != -1 {
 			return u, missing
 		}
 	}
@@ -203,7 +222,6 @@ type Report struct {
 // validatorScratch is the reusable per-worker state of view validation.
 type validatorScratch struct {
 	members *bitset.Set
-	outMask *bitset.Set
 }
 
 // validateComposite builds the report for composite ci using sc for all
@@ -224,24 +242,19 @@ func validateComposite(o *Oracle, v *view.View, ci int, sc *validatorScratch) Co
 	if len(cr.Out) == 0 {
 		cr.Out = nil
 	}
-	outMask := sc.outMask
-	outMask.Reset()
-	for _, t := range cr.Out {
-		outMask.Set(t)
-	}
 	for _, u := range cr.In {
-		full := false
-		outMask.ForEachNotIn(o.reach.Row(u), func(to int) bool {
+		for _, to := range cr.Out {
+			if o.reach.Reaches(u, to) {
+				continue
+			}
 			cr.Sound = false
 			if cr.Violations == nil {
 				cr.Violations = make([]Violation, 0, MaxViolations)
 			}
 			cr.Violations = append(cr.Violations, Violation{From: u, To: to})
-			full = len(cr.Violations) >= MaxViolations
-			return !full
-		})
-		if full {
-			break
+			if len(cr.Violations) >= MaxViolations {
+				return cr
+			}
 		}
 	}
 	return cr
@@ -308,7 +321,7 @@ func validate(o *Oracle, v *view.View, workers int, stop func() error) (*Report,
 	composites := make([]CompositeReport, k)
 	var next atomic.Int64
 	work := func() {
-		sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
+		sc := &validatorScratch{members: bitset.New(n)}
 		for stop() == nil {
 			ci := int(next.Add(1)) - 1
 			if ci >= k {
@@ -349,33 +362,37 @@ type PathReport struct {
 }
 
 // ValidateViewPaths applies Definition 2.1 literally (but polynomially,
-// via closures): the view has a path between two composites iff some pair
-// of their members is connected in the workflow. Unsound views only ever
-// add paths; the test suite pins the corner case where this view-level
-// check passes although a composite violates Definition 2.3.
+// via row marks): the view has a path between two composites iff some
+// pair of their members is connected in the workflow. Unsound views only
+// ever add paths; the test suite pins the corner case where this
+// view-level check passes although a composite violates Definition 2.3.
 func ValidateViewPaths(o *Oracle, v *view.View) *PathReport {
 	rep := &PathReport{Sound: true}
 	q := v.Graph()
 	qReach := q.Reachability()
 	k := v.N()
-	// blockRow[c] = union of workflow reach rows of members of c.
-	blockRow := make([]*bitset.Set, k)
-	memberMask := make([]*bitset.Set, k)
-	for c := 0; c < k; c++ {
-		row := bitset.New(o.g.N())
-		for _, t := range v.Composite(c).Members() {
-			row.Or(o.reach.Row(t))
+	mark := make([]uint64, dag.MarkWords(o.g.N()))
+	// reachesAny reports whether a member of b is marked (mark = union of
+	// the workflow reach rows of a's members).
+	reachesAny := func(b int) bool {
+		for _, t := range v.Composite(b).Members() {
+			if o.reach.Marked(mark, t) {
+				return true
+			}
 		}
-		blockRow[c] = row
-		memberMask[c] = MemberSet(v, c)
+		return false
 	}
 	for a := 0; a < k; a++ {
+		clear(mark)
+		for _, t := range v.Composite(a).Members() {
+			o.reach.MarkRow(mark, t)
+		}
 		for b := 0; b < k; b++ {
 			if a == b {
 				continue
 			}
 			viewPath := qReach.Reaches(a, b)
-			wfPath := blockRow[a].Intersects(memberMask[b])
+			wfPath := reachesAny(b)
 			if viewPath && !wfPath {
 				rep.Sound = false
 				rep.FalsePaths = append(rep.FalsePaths, FalsePath{From: a, To: b})

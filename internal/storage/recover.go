@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -98,6 +99,11 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// The one root of the replay: no journal is installed yet, so there
+	// is nothing downstream to cancel; it only threads the ctx-first
+	// registry methods.
+	ctx := context.Background() //lint:allow ctxpass replay of durable state anchors its own root
+
 	// Replay mode: defer per-record epoch publication (and the per-view
 	// label rebuilds inside it) until the registry is fully restored —
 	// one publication per workflow instead of one per record.
@@ -132,7 +138,7 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 		s.fs.Remove(path)
 		stats.SnapshotsDropped++
 	}
-	if err := s.restoreSnapshots(reg, rr, snaps, snapLSN, snapSize, stats, workers); err != nil {
+	if err := s.restoreSnapshots(ctx, reg, rr, snaps, snapLSN, snapSize, stats, workers); err != nil {
 		return stats, err
 	}
 
@@ -150,9 +156,9 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	}
 	stats.Workers = replayWorkers
 	if replayWorkers > 1 {
-		err = s.replayParallel(reg, rr, paths, snapLSN, deleted, stats, replayWorkers)
+		err = s.replayParallel(ctx, reg, rr, paths, snapLSN, deleted, stats, replayWorkers)
 	} else {
-		err = s.replaySequential(reg, rr, paths, snapLSN, deleted, stats)
+		err = s.replaySequential(ctx, reg, rr, paths, snapLSN, deleted, stats)
 	}
 	if err != nil {
 		return stats, err
@@ -253,7 +259,7 @@ func (e *decodeError) Unwrap() error { return e.err }
 // run restorer are safe for distinct workflow IDs. Corrupt documents
 // are dropped under mu (file removed, coverage cleared so the WAL's
 // history for that workflow replays in full); real errors abort.
-func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []loadedSnapshot,
+func (s *Store) restoreSnapshots(ctx context.Context, reg *engine.Registry, rr RunRestorer, snaps []loadedSnapshot,
 	snapLSN map[string]uint64, snapSize map[string]int64, stats *RecoveryStats, workers int) error {
 	if workers > len(snaps) {
 		workers = len(snaps)
@@ -265,7 +271,7 @@ func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []l
 					// A snapshot that does not decode is a half-written file
 					// from an unsynced crash: drop it (and its record
 					// coverage) and fall back to whatever the log still says.
-					reg.Delete(ls.doc.ID) // drop any partially restored state
+					reg.DeleteCtx(ctx, ls.doc.ID) // drop any partially restored state
 					s.fs.Remove(ls.path)
 					delete(snapLSN, ls.doc.ID)
 					delete(snapSize, ls.doc.ID)
@@ -305,7 +311,7 @@ func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []l
 						stats.Runs += local.Runs
 					default:
 						if _, ok := err.(*decodeError); ok {
-							reg.Delete(ls.doc.ID)
+							reg.DeleteCtx(ctx, ls.doc.ID)
 							s.fs.Remove(ls.path)
 							delete(snapLSN, ls.doc.ID)
 							delete(snapSize, ls.doc.ID)
@@ -451,7 +457,7 @@ func decodeRecord(rec record, snapLSN map[string]uint64) (*decodedRec, error) {
 // parallel replay each partition owns a disjoint set of workflow IDs,
 // so distinct appliers never touch the same registry entry, run shard,
 // or deleted-map key.
-func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted map[string]bool, stats *RecoveryStats) error {
+func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted map[string]bool, stats *RecoveryStats) error {
 	fail := func(err error) error {
 		return fmt.Errorf("storage: replay lsn %d: %w", d.lsn, err)
 	}
@@ -474,7 +480,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			}
 			return fail(err)
 		}
-		res, err := lw.Mutate(d.mut.mutation())
+		res, err := lw.MutateCtx(ctx, d.mut.mutation())
 		if err != nil {
 			return fail(err)
 		}
@@ -491,7 +497,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			}
 			return fail(err)
 		}
-		_, _, err = lw.AttachView(d.att.VID, func(wf *workflow.Workflow) (*view.View, error) {
+		_, _, err = lw.AttachViewCtx(ctx, d.att.VID, func(wf *workflow.Workflow) (*view.View, error) {
 			return view.DecodeJSON(wf, bytes.NewReader(d.att.View))
 		})
 		if err != nil {
@@ -510,12 +516,12 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			}
 			return fail(err)
 		}
-		if err := lw.DetachView(d.det.VID); err != nil &&
+		if err := lw.DetachViewCtx(ctx, d.det.VID); err != nil &&
 			!engine.IsCode(err, engine.ErrUnknownView) && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 			return fail(err)
 		}
 	case recDelete:
-		if err := reg.Delete(d.del.ID); err != nil && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
+		if err := reg.DeleteCtx(ctx, d.del.ID); err != nil && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 			return fail(err)
 		}
 		deleted[d.del.ID] = true
@@ -536,7 +542,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 // replaySequential is the reference replay: decode and apply each
 // record inline, in log order. The parallel path is pinned against it
 // by TestParallelRecoveryEquivalence.
-func (s *Store) replaySequential(reg *engine.Registry, rr RunRestorer, paths []string,
+func (s *Store) replaySequential(ctx context.Context, reg *engine.Registry, rr RunRestorer, paths []string,
 	snapLSN map[string]uint64, deleted map[string]bool, stats *RecoveryStats) error {
 	for i, path := range paths {
 		_, _, err := scanSegment(s.fs, path, i == len(paths)-1, func(rec record) error {
@@ -544,7 +550,7 @@ func (s *Store) replaySequential(reg *engine.Registry, rr RunRestorer, paths []s
 			if derr != nil {
 				return derr
 			}
-			return applyDecoded(reg, rr, d, deleted, stats)
+			return applyDecoded(ctx, reg, rr, d, deleted, stats)
 		})
 		if err != nil {
 			return err
@@ -577,7 +583,7 @@ func partitionOf(id string, n int) int {
 // replay's; distinct workflows apply concurrently. The caller has
 // already ruled out LRU eviction (capacity upper bound), which is the
 // one cross-workflow coupling replay has.
-func (s *Store) replayParallel(reg *engine.Registry, rr RunRestorer, paths []string,
+func (s *Store) replayParallel(ctx context.Context, reg *engine.Registry, rr RunRestorer, paths []string,
 	snapLSN map[string]uint64, deleted map[string]bool, stats *RecoveryStats, workers int) error {
 	type rawRec struct {
 		seq uint64
@@ -663,7 +669,7 @@ func (s *Store) replayParallel(reg *engine.Registry, rr RunRestorer, paths []str
 		go func(p int) {
 			defer pwg.Done()
 			for d := range partc[p] {
-				if err := applyDecoded(reg, rr, d, partDel[p], &partStats[p]); err != nil {
+				if err := applyDecoded(ctx, reg, rr, d, partDel[p], &partStats[p]); err != nil {
 					abort(err)
 					for range partc[p] { // drain so the dispatcher never blocks
 					}
